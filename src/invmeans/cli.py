@@ -3,10 +3,11 @@
 Conventions: bulk data (CSV) goes to stdout, diagnostics to stderr, and
 ``--json`` switches reports to a single JSON object on stdout.  Exit
 status is 0 for success or a passing check, 1 for a failing check, and 2
-for usage, parse, or parameter errors.  Scan seeds default to 0 and are
-echoed in every report header so runs can be replayed.  Floating-point
-values print with 17 significant digits; non-finite values appear as
-strings in JSON output.
+for usage, parse, or parameter errors.  The scan commands (check,
+complement) take ``--grid``, ``--tol`` and ``--seed``; seeds default to 0
+and are echoed in every report header so runs can be replayed.
+Floating-point values print with 17 significant digits; non-finite
+values appear as strings in JSON output.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .projective import builtin_cone
 from .specs import parse_mean, parse_pair
 from .verify import (
     ScanConfig,
+    _invariance_terms,
     check_flags,
     check_invariance,
     check_meanness,
@@ -117,16 +119,6 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _pair_rows(pair, xs, ys):
-    with np.errstate(all="ignore"):
-        kv = np.asarray(pair.K.fn(xs, ys), dtype=float)
-        lv = np.asarray(pair.L.fn(xs, ys), dtype=float)
-        inner = np.asarray(pair.target.fn(kv, lv), dtype=float)
-        outer = np.asarray(pair.target.fn(xs, ys), dtype=float)
-        residual = np.abs(inner - outer) / outer
-    return np.column_stack([xs, ys, kv, lv, inner, outer, residual])
-
-
 _PAIR_COLUMNS = "x,y,K,L,M_of_KL,M_of_xy,residual"
 
 
@@ -156,7 +148,8 @@ def _cmd_complement(args) -> int:
     n = cfg.points_per_axis if args.emit == "csv" else 5
     axis = np.geomspace(lo, hi, n)
     gx, gy = np.meshgrid(axis, axis)
-    rows = _pair_rows(pair, gx.ravel(), gy.ravel())
+    xs, ys = gx.ravel(), gy.ravel()
+    rows = np.column_stack([xs, ys, *_invariance_terms(pair, xs, ys)])
     header = (f"# complement pair={pair.spec or '<no spec>'} seed={cfg.seed} "
               f"grid={args.grid}")
     if args.json:
@@ -245,14 +238,16 @@ def _cmd_counterexample(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", default="1e-6:1e6:64", metavar="LO:HI:N",
-                        help="scan domain and grid resolution (default %(default)s)")
-    common.add_argument("--tol", type=float, default=1e-11,
-                        help="relative tolerance for checks (default %(default)g)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for random sample supplements (default %(default)s)")
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report instead of text")
+    # scan flags, only for the commands that sample a grid
+    scan = argparse.ArgumentParser(add_help=False, parents=[common])
+    scan.add_argument("--grid", default="1e-6:1e6:64", metavar="LO:HI:N",
+                      help="scan domain and grid resolution (default %(default)s)")
+    scan.add_argument("--tol", type=float, default=1e-11,
+                      help="relative tolerance for checks (default %(default)g)")
+    scan.add_argument("--seed", type=int, default=0,
+                      help="seed for random sample supplements (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="invmeans",
@@ -268,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=float, required=True)
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[scan],
                        help="run a verification scan")
     p.add_argument("--what", required=True,
                    choices=["mean", "trace", "monotone", "invariance", "flags"])
@@ -276,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", help="pair expression (invariance check)")
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("complement", parents=[common],
+    p = sub.add_parser("complement", parents=[scan],
                        help="build a complementary pair and tabulate it")
     p.add_argument("--mean", required=True, help="target mean expression")
     p.add_argument("--t", type=float, required=True)

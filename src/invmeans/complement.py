@@ -1,37 +1,36 @@
 """Constructions of complementary mean pairs (K, L) with M(K, L) = M.
 
-Three families on the positive half-line:
+Every construction on the positive half-line is one kernel: given a
+symmetric, homogeneous, monotone target M, component means c, d and a
+parameter t, it returns (c^t, d^t, M / M(c^t, d^t)).  The pair
+K = c^t * M/M(c^t, d^t), L = d^t * M/M(c^t, d^t) always satisfies
+M(K, L) = M, and the base N = (M / M(c^t, d^t))^(1/(1-t)) is the kernel
+raised back to the power 1/(1-t).  The public constructors are choices
+of (M, c, d) plus their own range, flag and spec policy:
 
-* ``log_pair``: the pair t*P^t*(x-y)/(x^t-y^t) complementary to the
-  logarithmic mean, parameterized by a selection set.
-* ``self_complement_base`` / ``xy_pair``: the kernel
-  M_t = (M/M(x^t, y^t))^(1/(1-t)) and the pair (P^t*M_t^(1-t),
-  P'^t*M_t^(1-t)) complementary to M itself.
-* ``general_base`` / ``general_pair``: the kernel with arbitrary means
-  C, D in place of the coordinates.  The kernel need not be a mean; the
-  pair (C^t*N^(1-t), D^t*N^(1-t)) always is, and always satisfies the
-  invariance equation.
+* ``general_pair`` / ``general_base``: arbitrary means C, D.  The base
+  need not be a mean; the pair always is.
+* ``xy_pair``: the selection means (P_A, P_{A'}) of a cone set A.
+* ``log_pair``: the same selections with M the logarithmic mean, where
+  the ratio is t*(x-y)/(x^t-y^t) and t may reach -1 and 1.
+* ``self_complement_base``: the coordinates (x, y), giving the
+  self-complementary kernel M_t = (M / M(x^t, y^t))^(1/(1-t)).
 
-A fourth family lives on the whole real line: ``translative_conjugate``
+A second family lives on the whole real line: ``translative_conjugate``
 transports a homogeneous mean through exp/log to a translative one, and
 ``translative_pair`` builds the additive analogue of the xy construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .means import Mean, _pow, _pow_diff_ratio, classical
-from .projective import (
-    _COMPLEMENT_NAME,
-    ConeSet,
-    builtin_cone,
-    complement_cone,
-    projective_mean,
-)
+from .means import Mean, _pow, classical
+from .projective import _COMPLEMENT_NAME, ConeSet, _selections, builtin_cone
 
 __all__ = [
     "MeanPair",
@@ -69,60 +68,112 @@ def _wrap(s: str) -> str:
     return f"({s})" if ":" in s else s
 
 
-def _pair_spec(head: str, specs: tuple[str | None, ...], t: float) -> str | None:
+def _spec(head: str, specs: tuple[str | None, ...], t: float) -> str | None:
     if any(s is None for s in specs):
         return None
     body = ":".join(_wrap(s) for s in specs)
     return f"{head}:{body}:{t!r}"
 
 
+def _kernel(M: Mean, components: Callable, t: float) -> Callable:
+    """The one construction: (x, y) -> (c^t, d^t, M(x, y) / M(c^t, d^t)).
+
+    ``components`` maps (x, y) to the component values (c, d).  The
+    ratio is N^(1-t) of the base, so the pair never pays the lossy
+    1/(1-t) exponent round trip.  It is a fresh array (or a numpy
+    scalar) that the caller may overwrite.
+    """
+
+    def fn(x, y):
+        c, d = components(x, y)
+        ct = _pow(c, t)
+        dt = _pow(d, t)
+        del c, d  # free the component arrays before M allocates its own
+        return ct, dt, M.fn(x, y) / M.fn(ct, dt)
+
+    return fn
+
+
+def _kernel_pair(M: Mean, components: Callable, t: float, name: str, args: str,
+                 symmetric: bool, homogeneous: bool, spec: str | None) -> MeanPair:
+    kernel = _kernel(M, components, t)
+
+    # multiply into the fresh ratio instead of allocating a product array
+    def k_fn(x, y):
+        ct, _, ratio = kernel(x, y)
+        ratio *= ct
+        return ratio
+
+    def l_fn(x, y):
+        _, dt, ratio = kernel(x, y)
+        ratio *= dt
+        return ratio
+
+    K = Mean(k_fn, f"{name}.K({args})", symmetric=symmetric, homogeneous=homogeneous)
+    L = Mean(l_fn, f"{name}.L({args})", symmetric=symmetric, homogeneous=homogeneous)
+    return MeanPair(K, L, target=M, t=t, spec=spec)
+
+
+def _kernel_base(M: Mean, components: Callable, t: float, label: str,
+                 symmetric: bool, homogeneous: bool, spec: str | None) -> Mean:
+    # monotone and strict stay False: mean-ness is left to an explicit scan
+    kernel = _kernel(M, components, t)
+    q = 1.0 / (1.0 - t)
+
+    def fn(x, y):
+        return _pow(kernel(x, y)[2], q)
+
+    return Mean(fn, label=spec or label, symmetric=symmetric,
+                homogeneous=homogeneous, monotone=False, strict=False, spec=spec)
+
+
+def _coordinates(x, y):
+    return x, y
+
+
+def _selection_pair(M: Mean, t: float, A: ConeSet | None, name: str,
+                    lead: str) -> MeanPair:
+    # shared by log_pair and xy_pair: components (P_A, P_{A'}), flags
+    # from the set's declarations, spec only for named complements
+    if A is None:
+        A = builtin_cone("full")
+    spec = None
+    if 0.0 < t < 1.0 and A.name in _COMPLEMENT_NAME:
+        spec = _spec(
+            "pair",
+            (M.spec, f"proj:{A.name}", f"proj:{_COMPLEMENT_NAME[A.name]}"),
+            t,
+        )
+    args = f"{lead}t={t!r}, {A.name or '<set>'}"
+    return _kernel_pair(M, partial(_selections, A), t, name, args,
+                        symmetric=A.declared_asymmetric or t == 0.0,
+                        homogeneous=A.declared_cone, spec=spec)
+
+
 def log_pair(t: float, A: ConeSet | None = None) -> MeanPair:
     """Pair complementary to the logarithmic mean, split by a selection set.
 
-    K = P_A^t * t*(x-y)/(x^t - y^t) and L uses the complementary set.
-    Defined for t in [-1, 1] excluding 0; at t = 1 the quotient collapses
-    to 1 and the pair degenerates to the two coordinate selections, at
-    t = -1 it collapses to xy and the selections swap.  Negating t swaps
-    K and L.
+    K = P_A^t * t*(x-y)/(x^t - y^t) and L uses the complementary set: the
+    kernel over the selections with M logarithmic, whose ratio
+    M / M(P^t, P'^t) is exactly that quotient.  Defined for t in [-1, 1]
+    excluding 0; at t = 1 the ratio is 1 and the pair degenerates to the
+    two coordinate selections, at t = -1 the ratio is xy and the
+    selections swap.  Negating t swaps K and L.
     """
     t = float(t)
     if not (-1.0 <= t <= 1.0) or t == 0.0:
         raise ParameterError("log pair requires t in [-1, 1] with t != 0")
-    if A is None:
-        A = builtin_cone("full")
-    P = projective_mean(A)
-    Q = projective_mean(complement_cone(A))
-
-    def make(sel: Mean) -> Callable:
-        def fn(x, y):
-            return _pow(sel.fn(x, y), t) * _pow_diff_ratio(x, y, t)
-
-        return fn
-
-    sym = A.declared_asymmetric
-    hom = A.declared_cone
-    set_name = A.name or "<set>"
-    K = Mean(make(P), f"logpair.K(t={t!r}, {set_name})",
-             symmetric=sym, homogeneous=hom)
-    L = Mean(make(Q), f"logpair.L(t={t!r}, {set_name})",
-             symmetric=sym, homogeneous=hom)
-    spec = None
-    if 0.0 < t < 1.0 and A.name in _COMPLEMENT_NAME:
-        spec = _pair_spec(
-            "pair",
-            ("logarithmic", f"proj:{A.name}", f"proj:{_COMPLEMENT_NAME[A.name]}"),
-            t,
-        )
-    return MeanPair(K, L, target=classical("logarithmic"), t=t, spec=spec)
+    return _selection_pair(classical("logarithmic"), t, A, "logpair", "")
 
 
 def self_complement_base(M: Mean, t: float) -> Mean:
     """The kernel M_t = (M / M(x^t, y^t))^(1/(1-t)) for t in (-1, 1).
 
-    Symmetric and homogeneous whenever M is (required); a mean exactly
-    when M is also monotone, which is not required here: the monotone
-    and strict flags stay False and mean-ness is left to an explicit
-    verify call.  M_0 = M and geometric reproduces itself for every t.
+    The base over the coordinates (x, y).  Symmetric and homogeneous
+    whenever M is (required); a mean exactly when M is also monotone,
+    which is not required here: the monotone and strict flags stay False
+    and mean-ness is left to an explicit verify call.  M_0 = M and
+    geometric reproduces itself for every t.
     """
     t = float(t)
     if not (-1.0 < t < 1.0):
@@ -131,78 +182,49 @@ def self_complement_base(M: Mean, t: float) -> Mean:
         raise DomainError(
             f"{M.label}: base construction requires symmetric and homogeneous flags"
         )
-    q = 1.0 / (1.0 - t)
+    spec = _spec("mt", (M.spec,), t)
+    return _kernel_base(M, _coordinates, t, f"mt({M.label}, t={t!r})",
+                        symmetric=True, homogeneous=True, spec=spec)
 
-    def fn(x, y):
-        return _pow(M.fn(x, y) / M.fn(_pow(x, t), _pow(y, t)), q)
 
-    spec = f"mt:{_wrap(M.spec)}:{t!r}" if M.spec else None
-    return Mean(
-        fn,
-        label=spec or f"mt({M.label}, t={t!r})",
-        symmetric=True,
-        homogeneous=True,
-        monotone=False,
-        strict=False,
-        spec=spec,
-    )
+def _require_target(M: Mean, what: str) -> None:
+    if not (M.symmetric and M.homogeneous and M.monotone):
+        raise DomainError(
+            f"{M.label}: {what} requires symmetric, homogeneous, monotone flags"
+        )
 
 
 def xy_pair(M: Mean, t: float, A: ConeSet | None = None) -> MeanPair:
     """Pair (P_A^t * M_t^(1-t), P_{A'}^t * M_t^(1-t)) complementary to M.
 
     Requires M symmetric, homogeneous, and monotone, and t in (-1, 1).
-    The product P^t * M_t^(1-t) is evaluated as P^t * M / M(x^t, y^t),
-    avoiding the 1/(1-t) exponent round trip.  K and L are symmetric when
-    the selection set is asymmetric (or t = 0, where both collapse to M)
-    and homogeneous when it is a cone; they are not monotone in general,
-    which check_monotone_trace exposes for the plain arithmetic case.
+    The kernel over the selections (P_A, P_{A'}): P^t * M_t^(1-t) is
+    evaluated as P^t * M / M(P^t, P'^t), avoiding the 1/(1-t) exponent
+    round trip.  K and L are symmetric when the selection set is
+    asymmetric (or t = 0, where both collapse to M) and homogeneous when
+    it is a cone; they are not monotone in general, which
+    check_monotone_trace exposes for the plain arithmetic case.
     """
     t = float(t)
     if not (-1.0 < t < 1.0):
         raise ParameterError("xy pair requires -1 < t < 1")
-    if not (M.symmetric and M.homogeneous and M.monotone):
-        raise DomainError(
-            f"{M.label}: xy pair requires symmetric, homogeneous, monotone flags"
-        )
-    if A is None:
-        A = builtin_cone("full")
-    P = projective_mean(A)
-    Q = projective_mean(complement_cone(A))
-
-    def make(sel: Mean) -> Callable:
-        def fn(x, y):
-            ratio = M.fn(x, y) / M.fn(_pow(x, t), _pow(y, t))
-            return _pow(sel.fn(x, y), t) * ratio
-
-        return fn
-
-    sym = A.declared_asymmetric or t == 0.0
-    hom = A.declared_cone
-    set_name = A.name or "<set>"
-    K = Mean(make(P), f"xypair.K({M.label}, t={t!r}, {set_name})",
-             symmetric=sym, homogeneous=hom)
-    L = Mean(make(Q), f"xypair.L({M.label}, t={t!r}, {set_name})",
-             symmetric=sym, homogeneous=hom)
-    spec = None
-    if 0.0 < t < 1.0 and A.name in _COMPLEMENT_NAME and M.spec:
-        spec = _pair_spec(
-            "pair",
-            (M.spec, f"proj:{A.name}", f"proj:{_COMPLEMENT_NAME[A.name]}"),
-            t,
-        )
-    return MeanPair(K, L, target=M, t=t, spec=spec)
+    _require_target(M, "xy pair")
+    return _selection_pair(M, t, A, "xypair", f"{M.label}, ")
 
 
 def _require_pair_inputs(M: Mean, t: float, what: str) -> float:
     t = float(t)
     if not (0.0 < t < 1.0):
         raise ParameterError(f"{what} requires 0 < t < 1")
-    if not (M.symmetric and M.homogeneous and M.monotone):
-        raise DomainError(
-            f"{M.label}: {what} requires symmetric, homogeneous, monotone flags"
-        )
+    _require_target(M, what)
     return t
+
+
+def _component_values(C: Mean, D: Mean) -> Callable:
+    def components(x, y):
+        return C.fn(x, y), D.fn(x, y)
+
+    return components
 
 
 def general_base(M: Mean, C: Mean, D: Mean, t: float) -> Mean:
@@ -215,54 +237,25 @@ def general_base(M: Mean, C: Mean, D: Mean, t: float) -> Mean:
     mean-ness matters.
     """
     t = _require_pair_inputs(M, t, "general base")
-    q = 1.0 / (1.0 - t)
-
-    def fn(x, y):
-        ct = _pow(C.fn(x, y), t)
-        dt = _pow(D.fn(x, y), t)
-        return _pow(M.fn(x, y) / M.fn(ct, dt), q)
-
-    spec = None
-    if M.spec and C.spec and D.spec:
-        spec = f"nt:{_wrap(M.spec)}:{_wrap(C.spec)}:{_wrap(D.spec)}:{t!r}"
-    return Mean(
-        fn,
-        label=spec or f"nt({M.label}; {C.label}, {D.label}; t={t!r})",
-        symmetric=C.symmetric and D.symmetric,
-        homogeneous=C.homogeneous and D.homogeneous,
-        monotone=False,
-        strict=False,
-        spec=spec,
-    )
+    return _kernel_base(M, _component_values(C, D), t,
+                        f"nt({M.label}; {C.label}, {D.label}; t={t!r})",
+                        symmetric=C.symmetric and D.symmetric,
+                        homogeneous=C.homogeneous and D.homogeneous,
+                        spec=_spec("nt", (M.spec, C.spec, D.spec), t))
 
 
 def general_pair(M: Mean, C: Mean, D: Mean, t: float) -> MeanPair:
     """Pair (C^t * N^(1-t), D^t * N^(1-t)) with N the general base.
 
     Both components are always means and always satisfy M(K, L) = M,
-    whether or not N itself is a mean.  N^(1-t) is folded to
-    M / M(C^t, D^t) so no lossy exponent round trip occurs.
+    whether or not N itself is a mean.
     """
     t = _require_pair_inputs(M, t, "general pair")
-
-    def k_fn(x, y):
-        ct = _pow(C.fn(x, y), t)
-        dt = _pow(D.fn(x, y), t)
-        return ct * (M.fn(x, y) / M.fn(ct, dt))
-
-    def l_fn(x, y):
-        ct = _pow(C.fn(x, y), t)
-        dt = _pow(D.fn(x, y), t)
-        return dt * (M.fn(x, y) / M.fn(ct, dt))
-
-    sym = C.symmetric and D.symmetric
-    hom = C.homogeneous and D.homogeneous
-    K = Mean(k_fn, f"pair.K({M.label}; {C.label}, {D.label}; t={t!r})",
-             symmetric=sym, homogeneous=hom)
-    L = Mean(l_fn, f"pair.L({M.label}; {C.label}, {D.label}; t={t!r})",
-             symmetric=sym, homogeneous=hom)
-    spec = _pair_spec("pair", (M.spec, C.spec, D.spec), t)
-    return MeanPair(K, L, target=M, t=t, spec=spec)
+    return _kernel_pair(M, _component_values(C, D), t, "pair",
+                        f"{M.label}; {C.label}, {D.label}; t={t!r}",
+                        symmetric=C.symmetric and D.symmetric,
+                        homogeneous=C.homogeneous and D.homogeneous,
+                        spec=_spec("pair", (M.spec, C.spec, D.spec), t))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,12 @@ from .verify import ScanReport
 __all__ = ["IterationTrace", "iterate_pair", "invariant_value_along_trajectory"]
 
 
+def _relative_gaps(iterates: np.ndarray) -> np.ndarray:
+    x = iterates[:, 0]
+    y = iterates[:, 1]
+    return np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+
+
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
     """Trajectory of a mean-type mapping with convergence diagnostics.
@@ -39,9 +45,7 @@ class IterationTrace:
     @property
     def gaps(self) -> np.ndarray:
         """Relative gap |x_n - y_n| / max(x_n, y_n) at every step."""
-        x = self.iterates[:, 0]
-        y = self.iterates[:, 1]
-        return np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+        return _relative_gaps(self.iterates)
 
     def order_estimate(self) -> float | None:
         """Empirical convergence order from the last three shrinking gaps.
@@ -91,10 +95,8 @@ def iterate_pair(pair, x0: float, y0: float, rel_stop: float = 1e-14,
         steps += 1
     iterates = np.asarray(points, dtype=float)
     final_gap = gap(x, y)
-    rel_gaps = np.abs(iterates[:, 0] - iterates[:, 1]) / np.maximum(
-        np.abs(iterates[:, 0]), np.abs(iterates[:, 1])
-    )
-    monotone = bool(np.all(rel_gaps[1:] <= rel_gaps[:-1] * (1.0 + 1e-12)))
+    gaps = _relative_gaps(iterates)
+    monotone = bool(np.all(gaps[1:] <= gaps[:-1] * (1.0 + 1e-12)))
     return IterationTrace(
         iterates=iterates,
         converged=final_gap <= rel_stop,

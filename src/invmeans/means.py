@@ -109,25 +109,6 @@ def _logmean(x, y):
     return np.where(near, series, d / np.where(near, 1.0, w))
 
 
-def _pow_diff_ratio(x, y, t: float):
-    """t*(x - y)/(x**t - y**t), extended by continuity across the diagonal.
-
-    Written over (hi, lo) so the result is exactly symmetric, with the
-    denominator expressed through expm1 of a nonpositive argument, which
-    cannot overflow and loses no precision for nearby inputs.
-    """
-    hi = np.maximum(x, y)
-    lo = np.minimum(x, y)
-    d = hi - lo
-    near = d <= NEAR_DIAGONAL_RTOL * hi
-    m = 0.5 * (hi + lo)
-    u = d / (2.0 * m)
-    series = _pow(m, 1.0 - t) * (1.0 - (t - 1.0) * (t - 2.0) * (u * u) / 6.0)
-    w = _gap_log(hi, lo, d, near)
-    den = _pow(hi, t) * (-np.expm1(-t * w))
-    return np.where(near, series, t * d / np.where(near, 1.0, den))
-
-
 def _arithmetic_fn(x, y):
     return 0.5 * (x + y)
 

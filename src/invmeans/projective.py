@@ -114,6 +114,12 @@ def complement_cone(A: ConeSet) -> ConeSet:
     )
 
 
+def _selections(A: ConeSet, x, y):
+    """(P_A(x, y), P_{A'}(x, y)) from one membership test of A."""
+    member = np.asarray(A.membership(x, y), dtype=bool)
+    return np.where(member, x, y), np.where(member, y, x)
+
+
 def projective_mean(A: ConeSet) -> Mean:
     """Selection mean of A: x on members, y elsewhere, x on the diagonal.
 
@@ -144,9 +150,9 @@ def check_exchange_property(A: ConeSet, samples=None,
 
     ``samples`` is an optional (m, 2) array of positive pairs; without it
     the scan uses the shared sample set of ``cfg``.  Holds exactly (zero
-    violation) for every selection mean; the scan guards the
-    implementation rather than the mathematics.  Witness layout:
-    (x, y, P_A, P_{A'}).
+    violation) for every selection mean; the scan guards the selection
+    code that the log and xy pairs run rather than the mathematics.
+    Witness layout: (x, y, P_A, P_{A'}).
     """
     cfg = cfg or DEFAULT_CONFIG
     if samples is None:
@@ -156,9 +162,7 @@ def check_exchange_property(A: ConeSet, samples=None,
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise InvalidMeanSpec("samples must be an (m, 2) array of pairs")
         x, y = arr[:, 0], arr[:, 1]
-    member = np.asarray(A.membership(x, y), dtype=bool)
-    k = np.where(member, x, y)
-    l = np.where(member, y, x)
+    k, l = _selections(A, x, y)
     with np.errstate(all="ignore"):
         as_given = np.maximum(np.abs(k - x), np.abs(l - y))
         swapped = np.maximum(np.abs(k - y), np.abs(l - x))

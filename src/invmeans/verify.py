@@ -46,7 +46,8 @@ class ScanConfig:
     rel_tol : float
         Pass threshold for the worst signed relative violation.
     seed : int
-        Seed for the random log-uniform supplement (10x the grid size).
+        Non-negative seed for the random log-uniform supplement (10x the
+        grid size).
     """
 
     domain: tuple[float, float] = (1e-6, 1e6)
@@ -65,6 +66,8 @@ class ScanConfig:
         if not (0.0 < float(self.rel_tol) < 1.0):
             raise ParameterError("rel_tol must lie in (0, 1)")
         object.__setattr__(self, "rel_tol", float(self.rel_tol))
+        if int(self.seed) < 0:
+            raise ParameterError("seed must be a non-negative integer")
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -202,6 +205,18 @@ def check_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
     return _finish(cfg, viol, (x, y, v))
 
 
+def _invariance_terms(pair, x, y):
+    """K, L, M(K, L), M(x, y) and |M(K, L) - M(x, y)| / M(x, y) at (x, y)."""
+    M = pair.target
+    kv = _eval2(pair.K.fn, x, y)
+    lv = _eval2(pair.L.fn, x, y)
+    inner = _eval2(M.fn, kv, lv)
+    outer = _eval2(M.fn, x, y)
+    with np.errstate(all="ignore"):
+        residual = np.abs(inner - outer) / outer
+    return kv, lv, inner, outer, residual
+
+
 def check_invariance(pair, cfg: ScanConfig | None = None) -> ScanReport:
     """Scan |M(K(x,y), L(x,y)) - M(x,y)| / M(x,y) for a MeanPair.
 
@@ -215,14 +230,9 @@ def check_invariance(pair, cfg: ScanConfig | None = None) -> ScanReport:
         return M.fn(K.fn(a, b), L.fn(a, b))
 
     try:
-        kv = _eval2(K.fn, x, y)
-        lv = _eval2(L.fn, x, y)
-        inner = _eval2(M.fn, kv, lv)
-        outer = _eval2(M.fn, x, y)
+        _, _, inner, outer, viol = _invariance_terms(pair, x, y)
     except Exception as exc:
         return _failure_report(composite, (x, y), x.size, exc)
-    with np.errstate(all="ignore"):
-        viol = np.abs(inner - outer) / outer
     return _finish(cfg, viol, (x, y, inner, outer))
 
 

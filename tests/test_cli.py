@@ -279,6 +279,19 @@ class TestUsage:
     def test_no_command_exits_2(self, capsys):
         assert run(capsys, [])[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--mean", "arithmetic", "--x", "1", "--y", "3", "--seed", "1"],
+        ["iterate", "--pair", "pair:geometric:arithmetic:harmonic:0.5",
+         "--x0", "1", "--y0", "4", "--tol", "7"],
+        ["counterexample", "--n", "3", "--t", "0.5", "--x", "1e8",
+         "--grid", "1:10:8"],
+    ])
+    def test_scan_flags_only_on_scan_commands(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
     def test_unknown_command_exits_2(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 2
 

@@ -2,11 +2,13 @@
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import invmeans as im
+from invmeans.means import _pow
 
 
 def random_pairs(n=10000, lo=1e-3, hi=1e3, seed=42):
@@ -51,6 +53,15 @@ class TestSelfComplementBase:
         x, y = random_pairs(10000, lo=1e-6, hi=1e6)
         rel = np.abs(Mt.fn(x, y) - S.fn(x, y)) / S.fn(x, y)
         assert float(rel.max()) <= 1e-10
+
+    @pytest.mark.parametrize("mean", [A, G, L, im.power_mean(2)])
+    @pytest.mark.parametrize("t", [-0.5, 0.25, 0.75])
+    def test_matches_the_explicit_formula_bit_for_bit(self, mean, t):
+        # the kernel over the coordinates is exactly this expression
+        x, y = random_pairs(4000, lo=1e-6, hi=1e6)
+        explicit = _pow(mean.fn(x, y) / mean.fn(_pow(x, t), _pow(y, t)),
+                        1.0 / (1.0 - t))
+        assert np.array_equal(im.self_complement_base(mean, t).fn(x, y), explicit)
 
     def test_spec_strings(self):
         assert im.self_complement_base(L, 0.5).spec == "mt:logarithmic:0.5"
@@ -133,21 +144,19 @@ class TestXYPair:
         assert im.xy_pair(A, -0.5, im.builtin_cone("lower")).spec is None
         assert im.xy_pair(A, 0.5, im.builtin_cone("mixed")).spec is None
 
-    @pytest.mark.parametrize("cone", ["full", "lower"])
+    @pytest.mark.parametrize("cone", im.BUILTIN_CONE_NAMES)
     def test_matches_general_pair_bit_for_bit(self, cone):
         # same target, components spelled as selection means: identical
         # floating-point path, so the values agree exactly
         cset = im.builtin_cone(cone)
-        via_xy = im.xy_pair(A, 0.25, cset)
-        via_general = im.general_pair(
-            A,
-            im.projective_mean(cset),
-            im.projective_mean(im.complement_cone(cset)),
-            0.25,
-        )
+        P = im.projective_mean(cset)
+        Q = im.projective_mean(im.complement_cone(cset))
         x, y = random_pairs(4000, lo=1e-6, hi=1e6)
-        assert np.array_equal(via_xy.K.fn(x, y), via_general.K.fn(x, y))
-        assert np.array_equal(via_xy.L.fn(x, y), via_general.L.fn(x, y))
+        for t in (0.1, 0.25, 0.5, 0.9):
+            via_xy = im.xy_pair(A, t, cset)
+            via_general = im.general_pair(A, P, Q, t)
+            assert np.array_equal(via_xy.K.fn(x, y), via_general.K.fn(x, y)), t
+            assert np.array_equal(via_xy.L.fn(x, y), via_general.L.fn(x, y)), t
 
     def test_requires_monotone_target(self):
         shifty = dataclasses.replace(A, monotone=False)
@@ -188,6 +197,25 @@ class TestLogPair:
         x, y = random_pairs(1000)
         assert_allclose(minus.K.fn(x, y), plus.L.fn(x, y), rtol=1e-13)
         assert_allclose(minus.L.fn(x, y), plus.K.fn(x, y), rtol=1e-13)
+
+    @pytest.mark.parametrize("cone", ["full", "lower"])
+    @pytest.mark.parametrize("t", [-1.0, -0.5, 0.5, 1.0])
+    def test_matches_a_60_digit_oracle(self, cone, t):
+        # K = P^t * t*(x-y)/(x^t-y^t), one pair in four near the diagonal
+        x, y = random_pairs(300, lo=1e-6, hi=1e6, seed=7)
+        gap = np.geomspace(1e-12, 1e-6, 100)
+        x = np.concatenate([x, x[:100]])
+        y = np.concatenate([y, x[:100] * (1.0 + gap)])
+        K = im.log_pair(t, im.builtin_cone(cone)).K.fn(x, y)
+        first = im.builtin_cone(cone).membership(x, y)
+        worst = 0.0
+        with mpmath.workdps(60):
+            tt = mpmath.mpf(t)
+            for xi, yi, ki, fi in zip(x, y, K, first):
+                a, b = mpmath.mpf(xi), mpmath.mpf(yi)
+                ref = (a if fi else b) ** tt * tt * (a - b) / (a ** tt - b ** tt)
+                worst = max(worst, float(abs(mpmath.mpf(ki) - ref) / ref))
+        assert worst <= 4e-15, worst
 
     @pytest.mark.parametrize("t", [0.3, 0.5, 0.9])
     def test_agrees_with_xy_pair_over_logarithmic(self, t):

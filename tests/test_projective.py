@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import invmeans as im
+import invmeans.projective as projective
 
 
 def sample_pairs(n=2000, lo=1e-6, hi=1e6, seed=42):
@@ -103,6 +104,23 @@ class TestExchangeProperty:
         report = im.check_exchange_property(A, samples=np.column_stack([x, y]))
         assert report.passed
         assert report.worst_violation == 0.0
+
+    def test_broken_selection_code_fails_the_check(self, monkeypatch):
+        # the check runs the selection code the log and xy pairs run
+        monkeypatch.setattr(projective, "_selections", lambda A, x, y: (x, x))
+        cfg = im.ScanConfig(points_per_axis=16)
+        report = im.check_exchange_property(im.builtin_cone("lower"), cfg=cfg)
+        assert not report.passed
+        assert report.worst_violation > 0.5
+
+    @pytest.mark.parametrize("name", im.BUILTIN_CONE_NAMES)
+    def test_selections_match_the_selection_means(self, name):
+        A = im.builtin_cone(name)
+        x, y = sample_pairs(4000)
+        first, second = projective._selections(A, x, y)
+        assert np.array_equal(im.projective_mean(A).fn(x, y), first)
+        assert np.array_equal(
+            im.projective_mean(im.complement_cone(A)).fn(x, y), second)
 
     def test_samples_shape_validated(self):
         with pytest.raises(im.InvalidMeanSpec, match=r"\(m, 2\)"):

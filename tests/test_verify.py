@@ -49,6 +49,10 @@ class TestScanConfig:
         with pytest.raises(im.ParameterError, match=r"rel_tol"):
             im.ScanConfig(rel_tol=2.0)
 
+    def test_seed_validation(self):
+        with pytest.raises(im.ParameterError, match="non-negative"):
+            im.ScanConfig(seed=-1)
+
     def test_hashable_for_sample_caching(self):
         assert hash(im.ScanConfig()) == hash(im.ScanConfig())
 
