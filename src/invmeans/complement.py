@@ -2,11 +2,17 @@
 
 Every construction on the positive half-line is one kernel: given a
 symmetric, homogeneous, monotone target M, component means c, d and a
-parameter t, it returns (c^t, d^t, M / M(c^t, d^t)).  The pair
+parameter t, it returns (c^t, d^t, M / M(c^t, d^t), M).  The pair
 K = c^t * M/M(c^t, d^t), L = d^t * M/M(c^t, d^t) always satisfies
 M(K, L) = M, and the base N = (M / M(c^t, d^t))^(1/(1-t)) is the kernel
-raised back to the power 1/(1-t).  The public constructors are choices
-of (M, c, d) plus their own range, flag and spec policy:
+raised back to the power 1/(1-t).  A kernel pair also carries a fused
+evaluator, ``MeanPair.evaluate(x, y) -> (K, L, M(x, y))``, which runs the
+kernel once for all three; the invariance scan uses it, and K and L are
+its first two outputs, so the scan checks the code K and L run.  K, L,
+the base and the fused evaluator all run long 1-D inputs in cache-sized
+blocks (``means._blockwise``), bit-identical to one pass.  The public
+constructors are choices of (M, c, d) plus their own range, flag and
+spec policy:
 
 * ``general_pair`` / ``general_base``: arbitrary means C, D.  The base
   need not be a mean; the pair always is.
@@ -22,14 +28,14 @@ transports a homogeneous mean through exp/log to a translative one, and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .means import Mean, _pow, classical
+from .means import Mean, _blockwise, _pow, classical
 from .projective import _COMPLEMENT_NAME, ConeSet, _selections, builtin_cone
 
 __all__ = [
@@ -55,6 +61,12 @@ class MeanPair:
     ``t`` is the construction parameter when one exists (None for ad-hoc
     pairs such as (arithmetic, harmonic) around geometric).  ``spec`` is
     the parseable pair expression when every ingredient has one.
+    ``fused`` is a one-pass evaluator (x, y) -> (K, L, M(x, y)) that the
+    kernel constructors attach after construction; K and L are its first
+    two outputs.  It is not an init argument, so ``dataclasses.replace``
+    and any hand-built pair leave it None and evaluate through ``K.fn``,
+    ``L.fn`` and ``target.fn``: a copy with another K, L or target is
+    checked against its own components, never a stale kernel.
     """
 
     K: Mean
@@ -62,6 +74,18 @@ class MeanPair:
     target: Mean
     t: float | None = None
     spec: str | None = None
+    fused: Callable | None = field(default=None, init=False, repr=False,
+                                   compare=False)
+
+    def evaluate(self, x, y):
+        """(K(x, y), L(x, y), M(x, y)) through the raw evaluators.
+
+        Unvalidated, like ``Mean.fn``.  One kernel pass when the pair
+        carries ``fused``; otherwise ``K.fn``, ``L.fn`` and ``target.fn``.
+        """
+        if self.fused is not None:
+            return self.fused(x, y)
+        return self.K.fn(x, y), self.L.fn(x, y), self.target.fn(x, y)
 
 
 def _wrap(s: str) -> str:
@@ -76,12 +100,12 @@ def _spec(head: str, specs: tuple[str | None, ...], t: float) -> str | None:
 
 
 def _kernel(M: Mean, components: Callable, t: float) -> Callable:
-    """The one construction: (x, y) -> (c^t, d^t, M(x, y) / M(c^t, d^t)).
+    """The one construction: (x, y) -> (c^t, d^t, ratio, M(x, y)).
 
     ``components`` maps (x, y) to the component values (c, d).  The
-    ratio is N^(1-t) of the base, so the pair never pays the lossy
-    1/(1-t) exponent round trip.  It is a fresh array (or a numpy
-    scalar) that the caller may overwrite.
+    ratio M(x, y) / M(c^t, d^t) is N^(1-t) of the base, so the pair never
+    pays the lossy 1/(1-t) exponent round trip.  It is a fresh array (or
+    a numpy scalar) that the caller may overwrite.
     """
 
     def fn(x, y):
@@ -89,7 +113,8 @@ def _kernel(M: Mean, components: Callable, t: float) -> Callable:
         ct = _pow(c, t)
         dt = _pow(d, t)
         del c, d  # free the component arrays before M allocates its own
-        return ct, dt, M.fn(x, y) / M.fn(ct, dt)
+        mxy = M.fn(x, y)
+        return ct, dt, mxy / M.fn(ct, dt), mxy
 
     return fn
 
@@ -98,20 +123,21 @@ def _kernel_pair(M: Mean, components: Callable, t: float, name: str, args: str,
                  symmetric: bool, homogeneous: bool, spec: str | None) -> MeanPair:
     kernel = _kernel(M, components, t)
 
-    # multiply into the fresh ratio instead of allocating a product array
-    def k_fn(x, y):
-        ct, _, ratio = kernel(x, y)
-        ratio *= ct
-        return ratio
+    # K, L and the pair's fused evaluator all end this one kernel pass
+    def fused(x, y):
+        ct, dt, ratio, mxy = kernel(x, y)
+        k = ratio * ct
+        ratio *= dt  # the ratio is fresh: reuse it for L
+        return k, ratio, mxy
 
-    def l_fn(x, y):
-        _, dt, ratio = kernel(x, y)
-        ratio *= dt
-        return ratio
-
-    K = Mean(k_fn, f"{name}.K({args})", symmetric=symmetric, homogeneous=homogeneous)
-    L = Mean(l_fn, f"{name}.L({args})", symmetric=symmetric, homogeneous=homogeneous)
-    return MeanPair(K, L, target=M, t=t, spec=spec)
+    K = Mean(_blockwise(fused, 0), f"{name}.K({args})", symmetric=symmetric,
+             homogeneous=homogeneous)
+    L = Mean(_blockwise(fused, 1), f"{name}.L({args})", symmetric=symmetric,
+             homogeneous=homogeneous)
+    pair = MeanPair(K, L, target=M, t=t, spec=spec)
+    # set past the frozen init, so any copy made by replace() drops it
+    object.__setattr__(pair, "fused", _blockwise(fused))
+    return pair
 
 
 def _kernel_base(M: Mean, components: Callable, t: float, label: str,
@@ -123,7 +149,7 @@ def _kernel_base(M: Mean, components: Callable, t: float, label: str,
     def fn(x, y):
         return _pow(kernel(x, y)[2], q)
 
-    return Mean(fn, label=spec or label, symmetric=symmetric,
+    return Mean(_blockwise(fn), label=spec or label, symmetric=symmetric,
                 homogeneous=homogeneous, monotone=False, strict=False, spec=spec)
 
 

@@ -9,6 +9,12 @@ configured tolerance.
 
 Evaluator failures (exceptions, non-finite output) are reported as failed
 scans with a witness, never raised out of the scan.
+
+A scan hands each evaluator all of its lanes in one call; the library's
+multi-pass evaluators split that call into cache-sized blocks themselves
+(``means._blockwise``), so the scans here stay single-call and the
+reports do not depend on the block size.  The invariance scan takes K, L
+and M(x, y) from the pair's fused evaluator (``MeanPair.evaluate``).
 """
 from __future__ import annotations
 
@@ -145,10 +151,14 @@ def _trace_samples(cfg: ScanConfig) -> np.ndarray:
     return x
 
 
+def _lanes(v, x) -> np.ndarray:
+    return np.broadcast_to(np.asarray(v, dtype=float), np.shape(x))
+
+
 def _eval2(fn, x, y) -> np.ndarray:
     with np.errstate(all="ignore"):
         v = fn(x, y)
-    return np.broadcast_to(np.asarray(v, dtype=float), np.shape(x))
+    return _lanes(v, x)
 
 
 def _failure_report(fn, args, count: int, exc: Exception) -> ScanReport:
@@ -206,12 +216,14 @@ def check_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
 
 
 def _invariance_terms(pair, x, y):
-    """K, L, M(K, L), M(x, y) and |M(K, L) - M(x, y)| / M(x, y) at (x, y)."""
-    M = pair.target
-    kv = _eval2(pair.K.fn, x, y)
-    lv = _eval2(pair.L.fn, x, y)
-    inner = _eval2(M.fn, kv, lv)
-    outer = _eval2(M.fn, x, y)
+    """K, L, M(K, L), M(x, y) and |M(K, L) - M(x, y)| / M(x, y) at (x, y).
+
+    K, L and M(x, y) come from one ``pair.evaluate`` call, a single
+    kernel pass for the kernel constructions.
+    """
+    with np.errstate(all="ignore"):
+        kv, lv, outer = (_lanes(v, x) for v in pair.evaluate(x, y))
+    inner = _eval2(pair.target.fn, kv, lv)
     with np.errstate(all="ignore"):
         residual = np.abs(inner - outer) / outer
     return kv, lv, inner, outer, residual
@@ -220,7 +232,9 @@ def _invariance_terms(pair, x, y):
 def check_invariance(pair, cfg: ScanConfig | None = None) -> ScanReport:
     """Scan |M(K(x,y), L(x,y)) - M(x,y)| / M(x,y) for a MeanPair.
 
-    Witness layout: (x, y, M(K,L), M(x,y)).
+    K, L and M(x, y) come from one ``pair.evaluate`` call, so a kernel
+    pair runs its kernel once per lane.  Witness layout:
+    (x, y, M(K,L), M(x,y)).
     """
     cfg = cfg or DEFAULT_CONFIG
     x, y = _pair_samples(cfg)

@@ -78,6 +78,35 @@ class TestCatalogValues:
         out = im.classical("arithmetic")(x, 1.0)
         assert_allclose(out, [1.0, 1.5, 2.0], rtol=1e-15)
 
+    # the intermediate sum still overflows, and numpy says so
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("big", [1e308, np.finfo(float).max])
+    def test_arithmetic_does_not_overflow(self, big):
+        assert im.classical("arithmetic")(big, big) == big
+        assert im.classical("arithmetic")(big, 1.0) == 0.5 * big
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-323, np.finfo(float).tiny])
+    def test_arithmetic_stays_between_subnormal_arguments(self, tiny):
+        assert im.classical("arithmetic")(tiny, tiny) == tiny
+        mixed = im.classical("arithmetic")([tiny, 5e-324], [5e-324, 1e308])
+        assert np.all(mixed >= 5e-324)
+        assert mixed[1] == 0.5 * 1e308
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_arithmetic_redoes_only_the_overflowing_lanes(self):
+        rng = np.random.default_rng(3)
+        x = np.exp(rng.uniform(-700.0, 700.0, 100_000))
+        y = np.exp(rng.uniform(-700.0, 700.0, 100_000))
+        x[::50] = np.finfo(float).max
+        y[::100] = np.finfo(float).max
+        with np.errstate(over="ignore"):
+            midpoint = 0.5 * (x + y)
+        out = im.classical("arithmetic")(x, y)
+        finite = np.isfinite(midpoint)
+        assert 0 < np.count_nonzero(~finite) < 100_000
+        assert np.array_equal(out[finite], midpoint[finite])
+        assert np.array_equal(out[~finite], 0.5 * x[~finite] + 0.5 * y[~finite])
+
     def test_catalog_name_order_is_stable(self):
         assert im.CLASSICAL_NAMES == (
             "arithmetic", "geometric", "harmonic", "logarithmic",
@@ -110,6 +139,20 @@ class TestConstructorErrors:
             A(-1, 1)
         with pytest.raises(im.DomainError, match="positive"):
             A(1, 0)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["arithmetic", "logarithmic"])
+    def test_nonfinite_arguments_rejected(self, name, bad, position):
+        M = im.classical(name)
+        args = [2.0, 3.0]
+        args[position] = bad
+        with pytest.raises(im.DomainError, match="arguments must be positive reals"):
+            M(*args)
+        lanes = [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])]
+        lanes[position][1] = bad
+        with pytest.raises(im.DomainError, match="arguments must be positive reals"):
+            M(*lanes)
 
     def test_trace_needs_homogeneous_flag(self):
         lopsided = im.Mean(lambda x, y: 0.5 * (x + y), "plain")
