@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .verify import ScanReport
+from .verify import ScanReport, _scan
 
 __all__ = ["IterationTrace", "iterate_pair", "invariant_value_along_trajectory"]
 
@@ -113,21 +113,16 @@ def invariant_value_along_trajectory(pair, trace: IterationTrace,
 
     For a genuinely complementary pair the target value never moves; a
     drifting value is exactly how a non-complementary pair betrays itself
-    after one step.  Witness layout: (n, x_n, y_n, M(x_n, y_n)).
+    after one step.  ``rel_tol`` must lie in (0, 1).  Witness layout:
+    (n, x_n, y_n, M(x_n, y_n)).
     """
-    xs = trace.iterates[:, 0]
-    ys = trace.iterates[:, 1]
-    with np.errstate(all="ignore"):
+    if not (0.0 < float(rel_tol) < 1.0):
+        raise ParameterError("rel_tol must lie in (0, 1)")
+
+    def measure(xs, ys):
         values = np.asarray(pair.target.fn(xs, ys), dtype=float)
-        ref = values[0]
-        viol = np.abs(values - ref) / abs(ref)
-    ranked = np.where(np.isfinite(viol), viol, np.inf)
-    idx = int(np.argmax(ranked))
-    worst = float(ranked[idx])
-    witness = (float(idx), float(xs[idx]), float(ys[idx]), float(values[idx]))
-    return ScanReport(
-        passed=worst <= rel_tol,
-        worst_violation=worst,
-        witness=witness,
-        samples_checked=int(values.size),
-    )
+        viol = np.abs(values - values[0]) / abs(values[0])
+        return viol, (np.arange(values.size), xs, ys, values)
+
+    return _scan(float(rel_tol), (trace.iterates[:, 0], trace.iterates[:, 1]),
+                 measure, pair.target.fn)

@@ -193,8 +193,22 @@ def _geometric_fn(x, y):
 
 
 def _harmonic_fn(x, y):
-    # reciprocal form for the same overflow reason
-    return 2.0 / (1.0 / x + 1.0 / y)
+    # reciprocal form for the same overflow reason.  The reciprocals of
+    # tiny (subnormal) arguments overflow and the mean underflows to 0,
+    # below min(x, y); only those lanes are redone as 2*lo/(1 + lo/hi).
+    m = 2.0 / (1.0 / x + 1.0 / y)
+    if isinstance(m, np.ndarray):
+        under = m == 0.0
+        if under.any():
+            m = np.where(under, _harmonic_tiny(x, y), m)
+    elif m == 0.0:
+        m = _harmonic_tiny(x, y)
+    return m
+
+
+def _harmonic_tiny(x, y):
+    lo = np.minimum(x, y)
+    return 2.0 * lo / (1.0 + lo / np.maximum(x, y))
 
 
 def _proj1_fn(x, y):

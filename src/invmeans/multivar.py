@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .means import _pow
-from .verify import DEFAULT_CONFIG, ScanConfig, ScanReport, _failure_report, _finish
+from .verify import DEFAULT_CONFIG, ScanConfig, ScanReport, _scan
 
 __all__ = [
     "NaryMean",
@@ -177,16 +177,11 @@ def check_nary_meanness(F: NaryMean, cfg: ScanConfig | None = None) -> ScanRepor
     rand = np.exp(rng.uniform(np.log(lo), np.log(hi), (F.n, 10 * m)))
     xs = np.concatenate([ray, rand], axis=1)
 
-    def scalar_fn(*row):
-        return F.fn(np.asarray(row, dtype=float))
-
-    try:
-        with np.errstate(all="ignore"):
-            v = np.asarray(F.fn(xs), dtype=float)
-    except Exception as exc:
-        return _failure_report(scalar_fn, tuple(xs), xs.shape[1], exc)
-    with np.errstate(all="ignore"):
+    def measure(*rows):
+        v = np.asarray(F.fn(xs), dtype=float)
         mn = xs.min(axis=0)
         mx = xs.max(axis=0)
-        viol = np.maximum(mn - v, v - mx) / mx
-    return _finish(cfg, viol, tuple(xs) + (v,))
+        return np.maximum(mn - v, v - mx) / mx, rows + (v,)
+
+    return _scan(cfg.rel_tol, tuple(xs), measure,
+                 lambda *row: F.fn(np.asarray(row, dtype=float)))

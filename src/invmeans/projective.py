@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidMeanSpec
+from .errors import DomainError, InvalidMeanSpec
 from .means import Mean
-from .verify import DEFAULT_CONFIG, ScanConfig, ScanReport, _finish, _pair_samples
+from .verify import DEFAULT_CONFIG, ScanConfig, ScanReport, _pair_samples, _scan
 
 __all__ = [
     "ConeSet",
@@ -148,11 +148,11 @@ def check_exchange_property(A: ConeSet, samples=None,
                             cfg: ScanConfig | None = None) -> ScanReport:
     """Verify {P_A(x,y), P_{A'}(x,y)} == {x, y} as unordered pairs.
 
-    ``samples`` is an optional (m, 2) array of positive pairs; without it
-    the scan uses the shared sample set of ``cfg``.  Holds exactly (zero
-    violation) for every selection mean; the scan guards the selection
-    code that the log and xy pairs run rather than the mathematics.
-    Witness layout: (x, y, P_A, P_{A'}).
+    ``samples`` is an optional (m, 2) array of positive finite pairs;
+    without it the scan uses the shared sample set of ``cfg``.  Holds
+    exactly (zero violation) for every selection mean; the scan guards the
+    selection code that the log and xy pairs run rather than the
+    mathematics.  Witness layout: (x, y, P_A, P_{A'}).
     """
     cfg = cfg or DEFAULT_CONFIG
     if samples is None:
@@ -161,10 +161,14 @@ def check_exchange_property(A: ConeSet, samples=None,
         arr = np.asarray(samples, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise InvalidMeanSpec("samples must be an (m, 2) array of pairs")
+        if not ((arr > 0.0) & (arr < np.inf)).all():
+            raise DomainError("samples must be pairs of positive finite reals")
         x, y = arr[:, 0], arr[:, 1]
-    k, l = _selections(A, x, y)
-    with np.errstate(all="ignore"):
+
+    def measure(x, y):
+        k, l = _selections(A, x, y)
         as_given = np.maximum(np.abs(k - x), np.abs(l - y))
         swapped = np.maximum(np.abs(k - y), np.abs(l - x))
-        viol = np.minimum(as_given, swapped) / np.maximum(x, y)
-    return _finish(cfg, viol, (x, y, k, l))
+        return np.minimum(as_given, swapped) / np.maximum(x, y), (x, y, k, l)
+
+    return _scan(cfg.rel_tol, (x, y), measure, lambda a, b: _selections(A, a, b))

@@ -7,20 +7,26 @@ produce bit-identical reports.  Violations are signed relative magnitudes;
 a report passes exactly when the worst violation stays at or below the
 configured tolerance.
 
-Evaluator failures (exceptions, non-finite output) are reported as failed
-scans with a witness, never raised out of the scan.
+Every check, here and in ``projective``, ``multivar`` and ``iterate``, is
+a ``measure`` callback mapping its sample lanes to (violations, witness
+columns), run by one engine, ``_scan``: numpy warnings silenced, one argmax
+reduction (``_finish``), and an evaluator exception turned into a failed
+report whose witness is the first sample a one-at-a-time replay rejects.
+Non-finite output fails too; nothing is raised out of a scan.
 
 A scan hands each evaluator all of its lanes in one call; the library's
 multi-pass evaluators split that call into cache-sized blocks themselves
 (``means._blockwise``), so the scans here stay single-call and the
 reports do not depend on the block size.  The invariance scan takes K, L
 and M(x, y) from the pair's fused evaluator (``MeanPair.evaluate``).
+Only the latest pair and trace sample sets stay cached.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -107,7 +113,7 @@ class ScanReport:
         return out
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _pair_samples(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
     """Shared (x, y) sample set: grid + ratio probes + random supplement."""
     lo, hi = cfg.domain
@@ -143,7 +149,7 @@ def _pair_samples(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _trace_samples(cfg: ScanConfig) -> np.ndarray:
     lo, hi = cfg.domain
     x = np.geomspace(lo, hi, cfg.points_per_axis ** 2)
@@ -155,47 +161,54 @@ def _lanes(v, x) -> np.ndarray:
     return np.broadcast_to(np.asarray(v, dtype=float), np.shape(x))
 
 
-def _eval2(fn, x, y) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        v = fn(x, y)
-    return _lanes(v, x)
+_FAILED = "evaluation failed"
 
 
-def _failure_report(fn, args, count: int, exc: Exception) -> ScanReport:
-    # the vector evaluation raised; replay scalar-by-scalar to locate the
+def _failure_report(replay, lanes, exc: Exception) -> ScanReport:
+    # the vector evaluation raised; replay sample by sample to locate the
     # first sample the evaluator rejects
     witness: tuple[float, ...] = ()
-    for row in zip(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in args)):
+    for row in zip(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in lanes)):
         try:
-            with np.errstate(all="ignore"):
-                fn(*row)
+            replay(*row)
         except Exception:
             witness = tuple(float(v) for v in row)
             break
-    return ScanReport(
-        passed=False,
-        worst_violation=math.inf,
-        witness=witness,
-        samples_checked=int(count),
-        detail=f"evaluation failed: {exc}",
-    )
+    return ScanReport(False, math.inf, witness, int(np.size(lanes[0])),
+                      f"{_FAILED}: {exc}")
 
 
-def _finish(cfg: ScanConfig, viol, witness_arrays, samples: int | None = None,
-            detail: str = "") -> ScanReport:
+def _finish(tol: float, viol, witness_arrays, samples: int | None = None) -> ScanReport:
     viol = np.asarray(viol, dtype=float).ravel()
     if viol.size == 0:
-        return ScanReport(True, 0.0, (), 0, detail)
+        return ScanReport(True, 0.0, (), 0)
     ranked = np.where(np.isfinite(viol), viol, np.inf)
     idx = int(np.argmax(ranked))
     worst = float(ranked[idx])
-    if not math.isfinite(viol[idx]) and not detail:
-        detail = "non-finite evaluation at witness"
+    detail = "" if math.isfinite(viol[idx]) else "non-finite evaluation at witness"
     witness = tuple(
         float(np.asarray(a, dtype=float).ravel()[idx]) for a in witness_arrays
     )
     count = int(viol.size) if samples is None else int(samples)
-    return ScanReport(worst <= cfg.rel_tol, worst, witness, count, detail)
+    return ScanReport(worst <= tol, worst, witness, count, detail)
+
+
+def _scan(tol: float, lanes, measure, replay, samples: int | None = None) -> ScanReport:
+    """The scan engine that every check plugs into.
+
+    ``measure(*lanes)`` returns (violations, witness columns); the report
+    is the worst violation against ``tol`` with its witness, counting
+    ``samples`` (default: one per violation).  Numpy warnings are silenced
+    throughout.  If ``measure`` raises, ``replay`` is called on one sample
+    of ``lanes`` at a time and the first sample it rejects is the witness
+    of a failed report.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            viol, witness = measure(*lanes)
+        except Exception as exc:
+            return _failure_report(replay, lanes, exc)
+        return _finish(tol, viol, witness, samples)
 
 
 def check_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
@@ -205,14 +218,13 @@ def check_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
     by max(x,y).  Witness layout: (x, y, F(x,y)).
     """
     cfg = cfg or DEFAULT_CONFIG
-    x, y = _pair_samples(cfg)
-    try:
-        v = _eval2(F.fn, x, y)
-    except Exception as exc:
-        return _failure_report(F.fn, (x, y), x.size, exc)
-    with np.errstate(all="ignore"):
+
+    def measure(x, y):
+        v = _lanes(F.fn(x, y), x)
         viol = np.maximum(np.minimum(x, y) - v, v - np.maximum(x, y)) / np.maximum(x, y)
-    return _finish(cfg, viol, (x, y, v))
+        return viol, (x, y, v)
+
+    return _scan(cfg.rel_tol, _pair_samples(cfg), measure, F.fn)
 
 
 def _invariance_terms(pair, x, y):
@@ -223,8 +235,7 @@ def _invariance_terms(pair, x, y):
     """
     with np.errstate(all="ignore"):
         kv, lv, outer = (_lanes(v, x) for v in pair.evaluate(x, y))
-    inner = _eval2(pair.target.fn, kv, lv)
-    with np.errstate(all="ignore"):
+        inner = _lanes(pair.target.fn(kv, lv), kv)
         residual = np.abs(inner - outer) / outer
     return kv, lv, inner, outer, residual
 
@@ -237,21 +248,27 @@ def check_invariance(pair, cfg: ScanConfig | None = None) -> ScanReport:
     (x, y, M(K,L), M(x,y)).
     """
     cfg = cfg or DEFAULT_CONFIG
-    x, y = _pair_samples(cfg)
     K, L, M = pair.K, pair.L, pair.target
 
-    def composite(a, b):
-        return M.fn(K.fn(a, b), L.fn(a, b))
-
-    try:
+    def measure(x, y):
         _, _, inner, outer, viol = _invariance_terms(pair, x, y)
-    except Exception as exc:
-        return _failure_report(composite, (x, y), x.size, exc)
-    return _finish(cfg, viol, (x, y, inner, outer))
+        return viol, (x, y, inner, outer)
+
+    return _scan(cfg.rel_tol, _pair_samples(cfg), measure,
+                 lambda a, b: M.fn(K.fn(a, b), L.fn(a, b)))
 
 
-def _trace_values(F, x) -> np.ndarray:
-    return _eval2(F.fn, x, np.ones_like(x))
+def _trace_scan(F, cfg: ScanConfig | None, measure, skip_one: bool = False) -> ScanReport:
+    # ``measure(x, f)`` sees the trace f(x) = F(x, 1) on the 1-D samples,
+    # without those within 1e-9 of x = 1 when ``skip_one`` is set
+    if not F.homogeneous:
+        raise DomainError(f"{F.label}: trace checks require the homogeneous flag")
+    cfg = cfg or DEFAULT_CONFIG
+    x = _trace_samples(cfg)
+    if skip_one:
+        x = x[np.abs(x - 1.0) > 1e-9]
+    return _scan(cfg.rel_tol, (x, np.ones_like(x)),
+                 lambda x, one: measure(x, _lanes(F.fn(x, one), x)), F.fn, x.size)
 
 
 def check_trace_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
@@ -262,19 +279,11 @@ def check_trace_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
     Points within 1e-9 of x = 1 are excluded as numerically singular.
     Witness layout: (x, f(x)).
     """
-    cfg = cfg or DEFAULT_CONFIG
-    if not F.homogeneous:
-        raise DomainError(f"{F.label}: trace checks require the homogeneous flag")
-    x = _trace_samples(cfg)
-    x = x[np.abs(x - 1.0) > 1e-9]
-    try:
-        m = _trace_values(F, x)
-    except Exception as exc:
-        return _failure_report(F.fn, (x, np.ones_like(x)), x.size, exc)
-    with np.errstate(all="ignore"):
+    def measure(x, m):
         d = (m - 1.0) / (x - 1.0)
-        viol = np.maximum(-d, d - 1.0)
-    return _finish(cfg, viol, (x, m))
+        return np.maximum(-d, d - 1.0), (x, m)
+
+    return _trace_scan(F, cfg, measure, skip_one=True)
 
 
 def check_monotone_trace(F, cfg: ScanConfig | None = None) -> ScanReport:
@@ -286,66 +295,49 @@ def check_monotone_trace(F, cfg: ScanConfig | None = None) -> ScanReport:
     Witness layout: (x_i, x_{i+1}, f(x_i), f(x_{i+1})) at the worst
     adjacent decrease.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    if not F.homogeneous:
-        raise DomainError(f"{F.label}: trace checks require the homogeneous flag")
-    x = _trace_samples(cfg)
-    try:
-        m = _trace_values(F, x)
-    except Exception as exc:
-        return _failure_report(F.fn, (x, np.ones_like(x)), x.size, exc)
-    with np.errstate(all="ignore"):
-        viol = (m[:-1] - m[1:]) / np.abs(m[1:])
-    return _finish(cfg, viol, (x[:-1], x[1:], m[:-1], m[1:]), samples=x.size)
+    def measure(x, m):
+        return (m[:-1] - m[1:]) / np.abs(m[1:]), (x[:-1], x[1:], m[:-1], m[1:])
+
+    return _trace_scan(F, cfg, measure)
 
 
-def _scan_symmetric(F, x, y, cfg) -> ScanReport:
-    v1 = _eval2(F.fn, x, y)
-    v2 = _eval2(F.fn, y, x)
-    with np.errstate(all="ignore"):
-        viol = np.abs(v1 - v2) / np.maximum(x, y)
-    return _finish(cfg, viol, (x, y, v1, v2))
+# Flag scans: (fn, cfg, x, y, v) -> (violations, witness columns), where v
+# is F(x, y), evaluated once by check_flags for all of them.
+
+def _scan_symmetric(fn, cfg, x, y, v):
+    v2 = _lanes(fn(y, x), x)
+    return np.abs(v - v2) / np.maximum(x, y), (x, y, v, v2)
 
 
-def _scan_homogeneous(F, x, y, cfg) -> ScanReport:
+def _scan_homogeneous(fn, cfg, x, y, v):
     rng = np.random.default_rng(cfg.seed + 1)
     lam = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), x.size))
     # pin the documented scale factors in the leading lanes
     lam[:4] = (1e-3, 1.0, 7.5, 1e3)
-    v = _eval2(F.fn, x, y)
-    vs = _eval2(F.fn, lam * x, lam * y)
-    with np.errstate(all="ignore"):
-        viol = np.abs(vs - lam * v) / (lam * np.maximum(x, y))
-    return _finish(cfg, viol, (x, y, lam))
+    vs = _lanes(fn(lam * x, lam * y), x)
+    return np.abs(vs - lam * v) / (lam * np.maximum(x, y)), (x, y, lam)
 
 
-def _scan_monotone(F, x, y, cfg) -> ScanReport:
+def _scan_monotone(fn, cfg, x, y, v):
     rng = np.random.default_rng(cfg.seed + 2)
     lhi = math.log(cfg.domain[1])
     x2 = np.exp(rng.uniform(np.log(x), lhi))
     y2 = np.exp(rng.uniform(np.log(y), lhi))
-    v1 = _eval2(F.fn, x, y)
-    v2 = _eval2(F.fn, x2, y2)
-    with np.errstate(all="ignore"):
-        viol = (v1 - v2) / np.abs(v2)
-    return _finish(cfg, viol, (x, y, x2, y2))
+    v2 = _lanes(fn(x2, y2), x)
+    return (v - v2) / np.abs(v2), (x, y, x2, y2)
 
 
-def _scan_strict(F, x, y, cfg) -> ScanReport:
+def _scan_strict(fn, cfg, x, y, v):
     # strictness is only meaningful away from the diagonal; require the
     # margin to clear the tolerance at well-separated arguments, scaling
     # each side by its own envelope endpoint (a mean may legitimately hug
     # min or max at extreme ratios without touching it)
-    with np.errstate(all="ignore"):
-        keep = np.abs(np.log(x / y)) >= 0.1
-    xs, ys = x[keep], y[keep]
-    v = _eval2(F.fn, xs, ys)
-    with np.errstate(all="ignore"):
-        mn = np.minimum(xs, ys)
-        mx = np.maximum(xs, ys)
-        margin = np.minimum((v - mn) / mn, (mx - v) / mx)
-        viol = 2.0 * cfg.rel_tol - margin
-    return _finish(cfg, viol, (xs, ys, v))
+    keep = np.abs(np.log(x / y)) >= 0.1
+    v = v[keep]
+    mn = np.minimum(x, y)[keep]
+    mx = np.maximum(x, y)[keep]
+    margin = np.minimum((v - mn) / mn, (mx - v) / mx)
+    return 2.0 * cfg.rel_tol - margin, (x[keep], y[keep], v)
 
 
 _FLAG_SCANS = (
@@ -363,26 +355,22 @@ def check_flags(F, cfg: ScanConfig | None = None) -> ScanReport:
     monotone (by sampled pair dominance), strict (by clearance of the
     min/max envelope at separated arguments).  A failing report carries
     ``detail = "flag falsified: <name>"``.  Undeclared flags are skipped;
-    a mean with no flags passes vacuously.
+    a mean with no flags passes vacuously.  F(x, y) is evaluated once and
+    shared by the flag scans.
     """
     cfg = cfg or DEFAULT_CONFIG
     x, y = _pair_samples(cfg)
+    value = cache(lambda: _lanes(F.fn(x, y), x))
     sub_reports = []
     for name, scan in _FLAG_SCANS:
         if not getattr(F, name):
             continue
-        try:
-            rep = scan(F, x, y, cfg)
-        except Exception as exc:
-            return _failure_report(F.fn, (x, y), x.size, exc)
+        rep = _scan(cfg.rel_tol, (x, y),
+                    lambda x, y, scan=scan: scan(F.fn, cfg, x, y, value()), F.fn)
+        if rep.detail.startswith(_FAILED):
+            return rep
         if not rep.passed:
-            return ScanReport(
-                passed=False,
-                worst_violation=rep.worst_violation,
-                witness=rep.witness,
-                samples_checked=rep.samples_checked,
-                detail=f"flag falsified: {name}",
-            )
+            return dataclasses.replace(rep, detail=f"flag falsified: {name}")
         sub_reports.append(rep)
     if not sub_reports:
         return ScanReport(True, 0.0, (), 0, "no flags declared")

@@ -85,6 +85,38 @@ class TestTrajectoryInvariance:
         assert n >= 1.0
         assert abs(value - 2.0) / 2.0 > 1e-3
 
+    def test_raising_target_becomes_a_failed_report(self):
+        def explode(x, y):
+            raise ValueError("refuses arrays")
+
+        pair = im.MeanPair(A, H, target=im.Mean(explode, "broken"))
+        trace = im.iterate_pair(pair, 1.0, 4.0)
+        report = im.invariant_value_along_trajectory(pair, trace)
+        assert not report.passed
+        assert report.worst_violation == np.inf
+        assert report.detail == "evaluation failed: refuses arrays"
+        assert report.witness == (1.0, 4.0)
+        assert report.samples_checked == trace.iterations + 1
+
+    def test_nan_target_is_a_failure_with_detail(self):
+        def patchy(x, y):
+            return np.where(x > 2.0, np.nan, np.sqrt(x) * np.sqrt(y))
+
+        pair = im.MeanPair(A, H, target=im.Mean(patchy, "patchy"))
+        trace = im.iterate_pair(pair, 1.0, 4.0)
+        report = im.invariant_value_along_trajectory(pair, trace)
+        assert not report.passed
+        assert report.worst_violation == np.inf
+        assert report.detail == "non-finite evaluation at witness"
+        assert report.witness[:3] == (1.0, 2.5, 1.6)
+
+    @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, 1.0, 2.0, np.nan, np.inf])
+    def test_rel_tol_range(self, rel_tol):
+        pair = im.MeanPair(A, H, target=G)
+        trace = im.iterate_pair(pair, 1.0, 4.0)
+        with pytest.raises(im.ParameterError, match="rel_tol"):
+            im.invariant_value_along_trajectory(pair, trace, rel_tol=rel_tol)
+
 
 class TestRandomStarts:
     def test_strict_constructions_converge_to_the_target_value(self):

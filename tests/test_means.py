@@ -107,6 +107,36 @@ class TestCatalogValues:
         assert np.array_equal(out[finite], midpoint[finite])
         assert np.array_equal(out[~finite], 0.5 * x[~finite] + 0.5 * y[~finite])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_harmonic_stays_between_tiny_arguments(self):
+        # subnormal and tiny normal arguments, where the reciprocals overflow
+        tiny = [5e-324, 1e-323, 2.5e-322, 1e-315, 1e-310, 6e-309, 1e-308,
+                np.finfo(float).tiny, 3e-308, 1e-307, 1e-300, 1.0]
+        x, y = (a.ravel() for a in np.meshgrid(tiny, tiny))
+        H = im.classical("harmonic")
+        out = H(x, y)
+        for a, b, got in zip(x, y, out):
+            assert H(a, b) == got
+            assert min(a, b) <= got <= max(a, b), (a, b, got)
+            with mpmath.workdps(60):
+                exact = float(2 / (1 / mpmath.mpf(a) + 1 / mpmath.mpf(b)))
+            assert abs(got - exact) <= 4 * np.finfo(float).eps * exact + 5e-324, (a, b)
+        assert H(1e-308, 1e-308) == 1e-308
+        assert H(5e-324, 1.0) == 1e-323
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_harmonic_redoes_only_the_underflowing_lanes(self):
+        rng = np.random.default_rng(4)
+        x = np.exp(rng.uniform(-745.0, 700.0, 100_000))
+        y = np.exp(rng.uniform(-745.0, 700.0, 100_000))
+        with np.errstate(over="ignore"):
+            plain = 2.0 / (1.0 / x + 1.0 / y)
+        out = im.classical("harmonic")(x, y)
+        kept = plain != 0.0
+        assert 0 < np.count_nonzero(~kept) < 100_000
+        assert np.array_equal(out[kept], plain[kept])
+        assert np.all(out >= np.minimum(x, y))
+
     def test_catalog_name_order_is_stable(self):
         assert im.CLASSICAL_NAMES == (
             "arithmetic", "geometric", "harmonic", "logarithmic",

@@ -127,6 +127,28 @@ class TestExchangeProperty:
             im.check_exchange_property(im.builtin_cone("full"),
                                        samples=np.ones(7))
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+    def test_samples_must_be_positive_and_finite(self, bad):
+        for samples in ([[bad, 2.0], [1.0, 3.0]], [[1.0, 3.0], [2.0, bad]]):
+            with pytest.raises(im.DomainError, match="positive finite"):
+                im.check_exchange_property(im.builtin_cone("lower"),
+                                           samples=samples)
+        with pytest.raises(im.DomainError):
+            im.check_exchange_property(im.builtin_cone("lower"),
+                                       samples=[[-1, 2], [np.nan, 1]])
+
+    def test_raising_membership_becomes_a_failed_report(self):
+        def refuse(x, y):
+            raise ValueError("no membership")
+
+        A = im.ConeSet(refuse, declared_asymmetric=False, declared_cone=False)
+        report = im.check_exchange_property(A, samples=[[1.0, 2.0], [3.0, 4.0]])
+        assert not report.passed
+        assert report.worst_violation == np.inf
+        assert report.detail == "evaluation failed: no membership"
+        assert report.witness == (1.0, 2.0)
+        assert report.samples_checked == 2
+
 
 class TestDeclaredStructure:
     # membership-level ground truth, independent of the flag scanner

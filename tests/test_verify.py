@@ -8,12 +8,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 import invmeans as im
+from invmeans.verify import _pair_samples
 
 A = im.classical("arithmetic")
 H = im.classical("harmonic")
 G = im.classical("geometric")
 
 CFG = im.ScanConfig(points_per_axis=16)
+
+
+def _explode(x, y):
+    raise ValueError("refuses arrays")
 
 
 class TestScanConfig:
@@ -183,6 +188,38 @@ class TestFlagScans:
         report = im.check_flags(lying, CFG)
         assert report.detail == "flag falsified: symmetric"
 
+    def test_all_flags_evaluate_the_mean_four_times(self):
+        # F(x, y) once, shared by the four scans, plus the swapped, scaled
+        # and shifted evaluations
+        calls = []
+
+        def recording(x, y):
+            calls.append((x, y))
+            return A.fn(x, y)
+
+        F = dataclasses.replace(A, fn=recording)
+        assert F.symmetric and F.homogeneous and F.monotone and F.strict
+        assert im.check_flags(F, CFG) == im.check_flags(A, CFG)
+        assert len(calls) == 4
+        x, y = _pair_samples(CFG)
+        assert calls[0][0] is x and calls[0][1] is y
+        assert calls[1][0] is y and calls[1][1] is x
+
+    def test_strict_scan_reuses_the_full_evaluation(self):
+        calls = []
+
+        def recording(x, y):
+            calls.append(np.size(x))
+            return A.fn(x, y)
+
+        F = im.Mean(recording, "strict-only", strict=True)
+        report = im.check_flags(F, CFG)
+        x, y = _pair_samples(CFG)
+        kept = np.count_nonzero(np.abs(np.log(x / y)) >= 0.1)
+        assert report.passed
+        assert calls == [x.size]
+        assert report.samples_checked == kept
+
 
 class TestFailureReporting:
     def test_raising_evaluator_becomes_a_failed_report(self):
@@ -195,6 +232,54 @@ class TestFailureReporting:
         assert report.worst_violation == math.inf
         assert report.detail.startswith("evaluation failed")
         assert report.samples_checked > 0
+
+    def test_meanness_calls_the_mean_once_with_every_lane(self):
+        calls = []
+
+        def recording(x, y):
+            calls.append((x, y))
+            return A.fn(x, y)
+
+        report = im.check_meanness(im.Mean(recording, "recording"), CFG)
+        x, y = _pair_samples(CFG)
+        assert len(calls) == 1
+        assert calls[0][0] is x and calls[0][1] is y
+        assert report.samples_checked == x.size
+
+    @pytest.mark.parametrize("check", [im.check_trace_meanness,
+                                       im.check_monotone_trace, im.check_flags])
+    def test_raising_evaluator_fails_every_mean_check(self, check):
+        broken = im.Mean(_explode, "broken", symmetric=True, homogeneous=True)
+        report = check(broken, CFG)
+        assert not report.passed
+        assert report.worst_violation == math.inf
+        assert report.detail == "evaluation failed: refuses arrays"
+        assert report.samples_checked > 0
+        assert len(report.witness) == 2
+
+    def test_raising_component_fails_the_invariance_check(self):
+        pair = im.MeanPair(A, im.Mean(_explode, "broken"), target=G)
+        report = im.check_invariance(pair, CFG)
+        assert not report.passed
+        assert report.worst_violation == math.inf
+        assert report.detail == "evaluation failed: refuses arrays"
+        assert report.samples_checked == _pair_samples(CFG)[0].size
+        assert len(report.witness) == 2
+
+    def test_flags_report_a_raise_on_the_swapped_call(self):
+        x, _ = _pair_samples(CFG)
+
+        def refuse_swapped(a, b):
+            if b is x:
+                raise ValueError("swapped arguments")
+            return A.fn(a, b)
+
+        F = dataclasses.replace(A, fn=refuse_swapped)
+        report = im.check_flags(F, CFG)
+        assert not report.passed
+        assert report.worst_violation == math.inf
+        assert report.detail == "evaluation failed: swapped arguments"
+        assert report.samples_checked == x.size
 
     def test_nan_output_is_a_failure_with_detail(self):
         def patchy(x, y):
