@@ -55,6 +55,31 @@ def _print_json(payload) -> None:
     print(json.dumps(_jsonify(payload)))
 
 
+def _emit_table(args, fields: dict, notes: list[str], columns: list[str],
+                rows, summary: str | None = None) -> int:
+    """Write a command's table as JSON, CSV or text; returns exit status 0.
+
+    JSON is one object: ``fields``, then ``columns`` and ``rows``.  CSV
+    puts the header row and the data on stdout and the ``notes`` lines
+    and the ``summary`` on stderr.  Text prints everything on stdout,
+    with a ``# columns:`` line and the summary as a comment.  An int
+    cell prints as is, every other cell with 17 significant digits.
+    """
+    if args.json:
+        _print_json({**fields, "columns": columns, "rows": rows})
+        return 0
+    csv = args.emit == "csv"
+    sep, aside = ("," if csv else " "), (sys.stderr if csv else sys.stdout)
+    for line in notes:
+        print(line, file=aside)
+    print(sep.join(columns) if csv else "# columns: " + sep.join(columns))
+    for row in rows:
+        print(sep.join(str(v) if isinstance(v, int) else _fmt(v) for v in row))
+    if summary is not None:
+        print(summary if csv else "# " + summary, file=aside)
+    return 0
+
+
 def _scan_config(args) -> ScanConfig:
     pieces = args.grid.split(":")
     if len(pieces) != 3:
@@ -119,7 +144,7 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-_PAIR_COLUMNS = "x,y,K,L,M_of_KL,M_of_xy,residual"
+_PAIR_COLUMNS = ["x", "y", "K", "L", "M_of_KL", "M_of_xy", "residual"]
 
 
 def _cmd_complement(args) -> int:
@@ -150,35 +175,13 @@ def _cmd_complement(args) -> int:
     gx, gy = np.meshgrid(axis, axis)
     xs, ys = gx.ravel(), gy.ravel()
     rows = np.column_stack([xs, ys, *_invariance_terms(pair, xs, ys)])
+    fields = {"pair_spec": pair.spec, "description": description,
+              "K": pair.K.label, "L": pair.L.label, "target": pair.target.label,
+              "t": pair.t, "seed": cfg.seed, "grid": args.grid}
     header = (f"# complement pair={pair.spec or '<no spec>'} seed={cfg.seed} "
               f"grid={args.grid}")
-    if args.json:
-        _print_json({
-            "pair_spec": pair.spec,
-            "description": description,
-            "K": pair.K.label,
-            "L": pair.L.label,
-            "target": pair.target.label,
-            "t": pair.t,
-            "seed": cfg.seed,
-            "grid": args.grid,
-            "columns": _PAIR_COLUMNS.split(","),
-            "rows": rows.tolist(),
-        })
-        return 0
-    if args.emit == "csv":
-        print(header, file=sys.stderr)
-        print(f"# {description}", file=sys.stderr)
-        print(_PAIR_COLUMNS)
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
-    else:
-        print(header)
-        print(f"# {description}")
-        print("# columns: " + _PAIR_COLUMNS.replace(",", " "))
-        for row in rows:
-            print(" ".join(_fmt(v) for v in row))
-    return 0
+    return _emit_table(args, fields, [header, f"# {description}"],
+                       _PAIR_COLUMNS, rows.tolist())
 
 
 def _cmd_iterate(args) -> int:
@@ -189,39 +192,17 @@ def _cmd_iterate(args) -> int:
     ys = trace.iterates[:, 1]
     with np.errstate(all="ignore"):
         values = np.asarray(pair.target.fn(xs, ys), dtype=float)
-    gaps = trace.gaps
+    fields = {"pair": args.pair, "converged": trace.converged,
+              "iterations": trace.iterations, "limit": trace.limit,
+              "final_gap": trace.final_gap, "gap_monotone": trace.gap_monotone}
+    header = f"# iterate pair={args.pair} x0={_fmt(args.x0)} y0={_fmt(args.y0)}"
     summary = (f"converged={str(trace.converged).lower()} "
                f"iterations={trace.iterations} limit={_fmt(trace.limit)} "
                f"final_gap={_fmt(trace.final_gap)}")
-    if args.json:
-        _print_json({
-            "pair": args.pair,
-            "converged": trace.converged,
-            "iterations": trace.iterations,
-            "limit": trace.limit,
-            "final_gap": trace.final_gap,
-            "gap_monotone": trace.gap_monotone,
-            "columns": ["n", "x", "y", "gap", "M_of_xy"],
-            "rows": [[int(i), xs[i], ys[i], gaps[i], values[i]]
-                     for i in range(len(xs))],
-        })
-        return 0
-    header = f"# iterate pair={args.pair} x0={_fmt(args.x0)} y0={_fmt(args.y0)}"
-    if args.emit == "csv":
-        print(header, file=sys.stderr)
-        print("n,x,y,gap,M_of_xy")
-        for i in range(len(xs)):
-            print(f"{i}," + ",".join(_fmt(v) for v in
-                                     (xs[i], ys[i], gaps[i], values[i])))
-        print(summary, file=sys.stderr)
-    else:
-        print(header)
-        print("# columns: n x y gap M_of_xy")
-        for i in range(len(xs)):
-            print(f"{i} " + " ".join(_fmt(v) for v in
-                                     (xs[i], ys[i], gaps[i], values[i])))
-        print("# " + summary)
-    return 0
+    rows = list(zip(range(len(xs)), xs.tolist(), ys.tolist(),
+                    trace.gaps.tolist(), values.tolist()))
+    return _emit_table(args, fields, [header], ["n", "x", "y", "gap", "M_of_xy"],
+                       rows, summary)
 
 
 def _cmd_counterexample(args) -> int:

@@ -2,17 +2,19 @@
 
 Every construction on the positive half-line is one kernel: given a
 symmetric, homogeneous, monotone target M, component means c, d and a
-parameter t, it returns (c^t, d^t, M / M(c^t, d^t), M).  The pair
+parameter t, it returns ((c^t, d^t), M / M(c^t, d^t), M).  The pair
 K = c^t * M/M(c^t, d^t), L = d^t * M/M(c^t, d^t) always satisfies
 M(K, L) = M, and the base N = (M / M(c^t, d^t))^(1/(1-t)) is the kernel
-raised back to the power 1/(1-t).  A kernel pair also carries a fused
-evaluator, ``MeanPair.evaluate(x, y) -> (K, L, M(x, y))``, which runs the
-kernel once for all three; the invariance scan uses it, and K and L are
-its first two outputs, so the scan checks the code K and L run.  K, L,
-the base and the fused evaluator all run long 1-D inputs in cache-sized
-blocks (``means._blockwise``), bit-identical to one pass.  The public
-constructors are choices of (M, c, d) plus their own range, flag and
-spec policy:
+raised back to the power 1/(1-t).  The kernel takes any number of
+arguments: ``multivar``'s n-ary base and tuple run it too, with the n
+component values stacked into one array.  A kernel pair also carries a
+fused evaluator, ``MeanPair.evaluate(x, y) -> (K, L, M(x, y))``, which
+runs the kernel once for all three; the invariance scan uses it, and K
+and L are its first two outputs, so the scan checks the code K and L
+run.  K, L, the base and the fused evaluator all run long 1-D inputs in
+cache-sized blocks (``means._blockwise``), bit-identical to one pass.
+The public constructors are choices of (M, c, d) plus their own range,
+flag and spec policy:
 
 * ``general_pair`` / ``general_base``: arbitrary means C, D.  The base
   need not be a mean; the pair always is.
@@ -99,33 +101,34 @@ def _spec(head: str, specs: tuple[str | None, ...], t: float) -> str | None:
     return f"{head}:{body}:{t!r}"
 
 
-def _kernel(M: Mean, components: Callable, t: float) -> Callable:
-    """The one construction: (x, y) -> (c^t, d^t, ratio, M(x, y)).
+def _kernel(M: Callable, components: Callable, t: float) -> Callable:
+    """The one construction, at any arity: args -> (powers, ratio, M(*args)).
 
-    ``components`` maps (x, y) to the component values (c, d).  The
-    ratio M(x, y) / M(c^t, d^t) is N^(1-t) of the base, so the pair never
-    pays the lossy 1/(1-t) exponent round trip.  It is a fresh array (or
-    a numpy scalar) that the caller may overwrite.
+    ``M`` is a raw evaluator and ``components`` maps the arguments to the
+    component values, as many as ``M`` takes: (c, d) for a bivariate M,
+    one stacked (n, ...) array for an n-ary one.  ``powers`` lists their
+    t-th powers, and the ratio M(*args) / M(*powers) is N^(1-t) of the
+    base, so a pair never pays the lossy 1/(1-t) exponent round trip.
+    The ratio is a fresh array (or a numpy scalar) that the caller may
+    overwrite.
     """
 
-    def fn(x, y):
-        c, d = components(x, y)
-        ct = _pow(c, t)
-        dt = _pow(d, t)
-        del c, d  # free the component arrays before M allocates its own
-        mxy = M.fn(x, y)
-        return ct, dt, mxy / M.fn(ct, dt), mxy
+    def fn(*args):
+        # the comprehension drops the component arrays before M allocates
+        powers = [_pow(c, t) for c in components(*args)]
+        m = M(*args)
+        return powers, m / M(*powers), m
 
     return fn
 
 
 def _kernel_pair(M: Mean, components: Callable, t: float, name: str, args: str,
                  symmetric: bool, homogeneous: bool, spec: str | None) -> MeanPair:
-    kernel = _kernel(M, components, t)
+    kernel = _kernel(M.fn, components, t)
 
     # K, L and the pair's fused evaluator all end this one kernel pass
     def fused(x, y):
-        ct, dt, ratio, mxy = kernel(x, y)
+        (ct, dt), ratio, mxy = kernel(x, y)
         k = ratio * ct
         ratio *= dt  # the ratio is fresh: reuse it for L
         return k, ratio, mxy
@@ -143,11 +146,11 @@ def _kernel_pair(M: Mean, components: Callable, t: float, name: str, args: str,
 def _kernel_base(M: Mean, components: Callable, t: float, label: str,
                  symmetric: bool, homogeneous: bool, spec: str | None) -> Mean:
     # monotone and strict stay False: mean-ness is left to an explicit scan
-    kernel = _kernel(M, components, t)
+    kernel = _kernel(M.fn, components, t)
     q = 1.0 / (1.0 - t)
 
     def fn(x, y):
-        return _pow(kernel(x, y)[2], q)
+        return _pow(kernel(x, y)[1], q)
 
     return Mean(_blockwise(fn), label=spec or label, symmetric=symmetric,
                 homogeneous=homogeneous, monotone=False, strict=False, spec=spec)

@@ -14,15 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .means import _positive_finite
 from .verify import ScanReport, _scan
 
 __all__ = ["IterationTrace", "iterate_pair", "invariant_value_along_trajectory"]
 
 
-def _relative_gaps(iterates: np.ndarray) -> np.ndarray:
-    x = iterates[:, 0]
-    y = iterates[:, 1]
-    return np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+def _relative_gap(x, y):
+    """|x - y| / max(|x|, |y|) for one pair or elementwise over arrays of pairs."""
+    # builtin abs: plain float arithmetic for the loop's scalar stop test
+    return abs(x - y) / np.maximum(abs(x), abs(y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +46,7 @@ class IterationTrace:
     @property
     def gaps(self) -> np.ndarray:
         """Relative gap |x_n - y_n| / max(x_n, y_n) at every step."""
-        return _relative_gaps(self.iterates)
+        return _relative_gap(self.iterates[:, 0], self.iterates[:, 1])
 
     def order_estimate(self) -> float | None:
         """Empirical convergence order from the last three shrinking gaps.
@@ -75,27 +76,24 @@ def iterate_pair(pair, x0: float, y0: float, rel_stop: float = 1e-14,
     """
     x0 = float(x0)
     y0 = float(y0)
-    if not (x0 > 0.0 and y0 > 0.0):
+    if not _positive_finite((x0, y0)):
         raise DomainError("iteration requires a positive starting pair")
     if not (0.0 < float(rel_stop) < 1.0):
         raise ParameterError("rel_stop must lie in (0, 1)")
     if int(max_iter) < 1:
         raise ParameterError("max_iter must be at least 1")
 
-    def gap(a: float, b: float) -> float:
-        return abs(a - b) / max(abs(a), abs(b))
-
     K, L = pair.K, pair.L
     x, y = x0, y0
     points = [(x, y)]
     steps = 0
-    while gap(x, y) > rel_stop and steps < int(max_iter):
+    while _relative_gap(x, y) > rel_stop and steps < int(max_iter):
         x, y = float(K(x, y)), float(L(x, y))
         points.append((x, y))
         steps += 1
     iterates = np.asarray(points, dtype=float)
-    final_gap = gap(x, y)
-    gaps = _relative_gaps(iterates)
+    gaps = _relative_gap(iterates[:, 0], iterates[:, 1])
+    final_gap = float(gaps[-1])
     monotone = bool(np.all(gaps[1:] <= gaps[:-1] * (1.0 + 1e-12)))
     return IterationTrace(
         iterates=iterates,

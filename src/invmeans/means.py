@@ -16,6 +16,7 @@ The short arithmetic, geometric and harmonic formulas run whole.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,9 +71,7 @@ class Mean:
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        # rejects 0, negatives, +-inf and nan
-        if not (((x > 0.0) & (x < np.inf)).all()
-                and ((y > 0.0) & (y < np.inf)).all()):
+        if not (_positive_finite(x) and _positive_finite(y)):
             raise DomainError(f"{self.label}: arguments must be positive reals")
         out = self.fn(x, y)
         if np.ndim(out) == 0:
@@ -81,6 +80,12 @@ class Mean:
 
     def __repr__(self) -> str:
         return f"Mean({self.label})"
+
+
+def _positive_finite(v) -> bool:
+    """Whether every entry of v is a positive finite real: 0, +-inf and nan fail."""
+    v = np.asarray(v)
+    return ((v > 0.0) & (v < np.inf)).all()
 
 
 class _blockwise:
@@ -231,8 +236,10 @@ def _power_fn(p: float):
 
 
 def power_mean(p: float) -> Mean:
-    """Power mean ((x**p + y**p)/2)**(1/p); p = 0 is aliased to geometric."""
+    """Power mean ((x**p + y**p)/2)**(1/p) for finite p; p = 0 is geometric."""
     p = float(p)
+    if not math.isfinite(p):
+        raise ParameterError(f"power mean requires a finite exponent, got {p!r}")
     if p == 0.0:
         return _REGISTRY["geometric"]
     name = f"power:{p!r}"
@@ -250,12 +257,14 @@ def power_mean(p: float) -> Mean:
 def stolarsky(r: float, s: float) -> Mean:
     """Difference mean ((s/r)*(x**r - y**r)/(x**s - y**s))**(1/(r - s)).
 
-    Requires r != s and r, s both nonzero.  Special cases worth knowing:
-    (2, 1) is the arithmetic mean, (1, -1) the geometric mean, and
-    (3/2, 1/2) the Heronian mean (x + sqrt(x*y) + y)/3.
+    Requires r != s and r, s both finite and nonzero.  Special cases
+    worth knowing: (2, 1) is the arithmetic mean, (1, -1) the geometric
+    mean, and (3/2, 1/2) the Heronian mean (x + sqrt(x*y) + y)/3.
     """
     r = float(r)
     s = float(s)
+    if not (math.isfinite(r) and math.isfinite(s)):
+        raise ParameterError("stolarsky mean requires finite r and s")
     if r == s:
         raise ParameterError("stolarsky mean requires r != s")
     if r == 0.0 or s == 0.0:

@@ -2,11 +2,13 @@
 
 The kernel N = (M / M(C_1^t, ..., C_n^t))^(1/(1-t)) and the tuple
 K_i = C_i^t * N^(1-t) generalize verbatim to n arguments, and the tuple
-still satisfies the invariance equation M(K_1, ..., K_n) = M.  What fails
-is mean-ness: with M = C_1 = arithmetic and the remaining components
-geometric, K_1(1, x, ..., x)/x grows toward n - 1, so for n >= 3 the
-construction escapes the min/max envelope.  ``counterexample_ratio``
-measures that escape.
+still satisfies the invariance equation M(K_1, ..., K_n) = M.  Both run
+``complement._kernel``, the code that builds the bivariate pairs, with
+the n component values stacked into the one argument an n-ary evaluator
+takes.  What fails is mean-ness: with M = C_1 = arithmetic and the
+remaining components geometric, K_1(1, x, ..., x)/x grows toward n - 1,
+so for n >= 3 the construction escapes the min/max envelope.
+``counterexample_ratio`` measures that escape.
 """
 from __future__ import annotations
 
@@ -15,8 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .complement import _kernel
 from .errors import DomainError, ParameterError
-from .means import _pow
+from .means import _positive_finite, _pow
 from .verify import DEFAULT_CONFIG, ScanConfig, ScanReport, _scan
 
 __all__ = [
@@ -48,7 +51,7 @@ class NaryMean:
             raise DomainError(
                 f"{self.label}: expected {self.n} arguments along the first axis"
             )
-        if not np.all(xs > 0.0):
+        if not _positive_finite(xs):
             raise DomainError(f"{self.label}: arguments must be positive reals")
         out = self.fn(xs)
         if np.ndim(out) == 0:
@@ -78,12 +81,10 @@ def nary_geometric(n: int) -> NaryMean:
                     f"geometric[{n}]")
 
 
-def _component_powers(components: Sequence[NaryMean], t: float, xs) -> np.ndarray:
-    return np.stack([_pow(C.fn(xs), t) for C in components])
-
-
-def _validate_family(M: NaryMean, components: Sequence[NaryMean],
-                     t: float) -> tuple[tuple[NaryMean, ...], float]:
+def _nary_kernel(M: NaryMean, components: Sequence[NaryMean],
+                 t: float) -> tuple[Callable, tuple[NaryMean, ...], float]:
+    # validates the family; the kernel sees the n component values as one
+    # stacked (n, ...) array, the single argument of the n-ary M.fn
     components = tuple(components)
     if len(components) != M.n:
         raise DomainError(
@@ -98,18 +99,21 @@ def _validate_family(M: NaryMean, components: Sequence[NaryMean],
     t = float(t)
     if not (0.0 < t < 1.0):
         raise ParameterError("n-ary base requires 0 < t < 1")
-    return components, t
+
+    def stacked(xs):
+        return (np.stack([C.fn(xs) for C in components]),)
+
+    return _kernel(M.fn, stacked, t), components, t
 
 
 def nary_general_base(M: NaryMean, components: Sequence[NaryMean],
                       t: float) -> NaryMean:
     """Kernel N = (M / M(C_1^t, ..., C_n^t))^(1/(1-t)); not a mean in general."""
-    components, t = _validate_family(M, components, t)
+    kernel, components, t = _nary_kernel(M, components, t)
     q = 1.0 / (1.0 - t)
 
     def fn(xs):
-        ct = _component_powers(components, t, xs)
-        return _pow(M.fn(xs) / M.fn(ct), q)
+        return _pow(kernel(xs)[1], q)
 
     label = f"nt[{M.label}; {', '.join(C.label for C in components)}; t={t!r}]"
     return NaryMean(fn, M.n, label)
@@ -122,12 +126,12 @@ def nary_invariant_tuple(M: NaryMean, components: Sequence[NaryMean],
     Always satisfies M(K_1, ..., K_n) = M; the K_i need not be means for
     n >= 3 (see counterexample_ratio).
     """
-    components, t = _validate_family(M, components, t)
+    kernel, components, t = _nary_kernel(M, components, t)
 
     def make(i: int) -> NaryMean:
         def fn(xs):
-            ct = _component_powers(components, t, xs)
-            return ct[i] * (M.fn(xs) / M.fn(ct))
+            powers, ratio, _ = kernel(xs)
+            return powers[0][i] * ratio
 
         label = f"tuple.K{i + 1}[{M.label}; t={t!r}]"
         return NaryMean(fn, M.n, label)
@@ -150,7 +154,7 @@ def counterexample_ratio(n: int, t: float, x: float) -> float:
     if not (0.0 < t < 1.0):
         raise ParameterError("the escape ratio requires 0 < t < 1")
     x = float(x)
-    if not x > 0.0:
+    if not _positive_finite(x):
         raise ParameterError("the escape ratio requires x > 0")
     A = nary_arithmetic(n)
     G = nary_geometric(n)

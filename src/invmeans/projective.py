@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidMeanSpec
-from .means import Mean
+from .means import Mean, _positive_finite
 from .verify import DEFAULT_CONFIG, ScanConfig, ScanReport, _pair_samples, _scan
 
 __all__ = [
@@ -161,7 +161,7 @@ def check_exchange_property(A: ConeSet, samples=None,
         arr = np.asarray(samples, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise InvalidMeanSpec("samples must be an (m, 2) array of pairs")
-        if not ((arr > 0.0) & (arr < np.inf)).all():
+        if not _positive_finite(arr):
             raise DomainError("samples must be pairs of positive finite reals")
         x, y = arr[:, 0], arr[:, 1]
 

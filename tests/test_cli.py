@@ -182,6 +182,8 @@ class TestComplement:
         assert payload["columns"] == [
             "x", "y", "K", "L", "M_of_KL", "M_of_xy", "residual"]
         assert len(payload["rows"]) == 25
+        assert list(payload) == ["pair_spec", "description", "K", "L", "target",
+                                 "t", "seed", "grid", "columns", "rows"]
 
     def test_c_requires_d(self, capsys):
         code, _, err = run(capsys, [
@@ -240,12 +242,23 @@ class TestIterate:
         assert_allclose(payload["limit"], 2.0, rtol=1e-14)
         assert payload["rows"][0][:3] == [0, 1.0, 4.0]
         assert len(payload["rows"]) == payload["iterations"] + 1
+        assert list(payload) == ["pair", "converged", "iterations", "limit",
+                                 "final_gap", "gap_monotone", "columns", "rows"]
 
     def test_bad_start_exits_2(self, capsys):
         code, _, err = run(capsys, [
             "iterate", "--pair", "pair:geometric:arithmetic:harmonic:0.5",
             "--x0", "-1", "--y0", "4"])
         assert code == 2
+        assert "positive starting pair" in err
+
+    @pytest.mark.parametrize("x0", ["inf", "nan"])
+    def test_nonfinite_start_exits_2(self, capsys, x0):
+        code, out, err = run(capsys, [
+            "iterate", "--pair", "pair:geometric:arithmetic:harmonic:0.5",
+            "--x0", x0, "--y0", "4"])
+        assert code == 2
+        assert out == ""
         assert "positive starting pair" in err
 
 
@@ -273,6 +286,14 @@ class TestCounterexample:
             "counterexample", "--n", "2", "--t", "0.5", "--x", "1e8"])
         assert code == 2
         assert "needs n >= 3" in err
+
+    @pytest.mark.parametrize("x", ["inf", "nan"])
+    def test_nonfinite_x_exits_2(self, capsys, x):
+        code, out, err = run(capsys, [
+            "counterexample", "--n", "3", "--t", "0.5", "--x", x])
+        assert code == 2
+        assert out == ""
+        assert "requires x > 0" in err
 
 
 class TestUsage:

@@ -58,6 +58,20 @@ class TestClassicalIteration:
         assert abs(A(trace.limit, trace.limit) - 2.5) <= 1e-10
 
 
+    @pytest.mark.parametrize("pair, max_iter", [
+        (im.MeanPair(A, H, target=G), 100),
+        (im.general_pair(L, G, H, 0.75), 100),
+        (im.general_pair(A, A, H, 0.5), 2),
+        (im.MeanPair(im.classical("proj1"), im.classical("proj2"), target=A), 5),
+    ])
+    def test_final_gap_is_the_last_gap(self, pair, max_iter):
+        # the stop test, final_gap and gaps share one relative-gap function
+        trace = im.iterate_pair(pair, 0.3, 7.0, max_iter=max_iter)
+        assert np.array_equal(trace.final_gap, trace.gaps[-1])
+        assert type(trace.final_gap) is float
+        assert trace.converged == (trace.gaps[-1] <= 1e-14)
+
+
 class TestTrajectoryInvariance:
     def test_target_constant_for_complementary_pairs(self):
         pair = im.MeanPair(A, H, target=G)
@@ -157,6 +171,14 @@ class TestInputValidation:
             im.iterate_pair(pair, -1.0, 2.0)
         with pytest.raises(im.DomainError, match="positive starting pair"):
             im.iterate_pair(pair, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_finite_start_required(self, bad):
+        pair = im.MeanPair(A, H, target=G)
+        with pytest.raises(im.DomainError, match="positive starting pair"):
+            im.iterate_pair(pair, bad, 1.0)
+        with pytest.raises(im.DomainError, match="positive starting pair"):
+            im.iterate_pair(pair, 1.0, bad)
 
     def test_rel_stop_range(self):
         pair = im.MeanPair(A, H, target=G)

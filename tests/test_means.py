@@ -163,6 +163,20 @@ class TestConstructorErrors:
         with pytest.raises(im.ParameterError, match="nonzero"):
             im.stolarsky(2, 0)
 
+    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf])
+    def test_power_needs_finite_exponent(self, p):
+        with pytest.raises(im.ParameterError, match="finite exponent"):
+            im.power_mean(p)
+        with pytest.raises(im.ParameterError, match="finite exponent"):
+            im.classical(f"power:{p}")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_stolarsky_needs_finite_parameters(self, bad):
+        with pytest.raises(im.ParameterError, match="finite r and s"):
+            im.stolarsky(bad, 1.0)
+        with pytest.raises(im.ParameterError, match="finite r and s"):
+            im.stolarsky(2.0, bad)
+
     def test_nonpositive_arguments_rejected(self):
         A = im.classical("arithmetic")
         with pytest.raises(im.DomainError, match="positive"):

@@ -59,15 +59,35 @@ class TestNaryAtoms:
         with pytest.raises(im.DomainError, match="positive"):
             F(np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_finite_arguments_required(self, bad):
+        F = im.nary_arithmetic(3)
+        with pytest.raises(im.DomainError, match="positive reals"):
+            F([1.0, bad, 1.0])
+        with pytest.raises(im.DomainError, match="positive reals"):
+            F(np.array([[1.0, 2.0], [3.0, bad], [5.0, 6.0]]))
+
 
 class TestNaryBase:
     def test_two_variable_case_matches_the_bivariate_kernel(self):
+        # both run complement._kernel: the same bits, not just close values
         A2 = im.nary_arithmetic(2)
         H2 = im.NaryMean(lambda xs: H.fn(xs[0], xs[1]), 2, "harmonic[2]")
-        nary = im.nary_general_base(A2, [A2, H2], 0.5)
-        bivariate = im.general_base(A, A, H, 0.5)
         xs = random_vectors(2, 3000)
-        assert_allclose(nary.fn(xs), bivariate.fn(xs[0], xs[1]), rtol=1e-13)
+        for t in (0.1, 0.5, 0.9):
+            nary = im.nary_general_base(A2, [A2, H2], t)
+            bivariate = im.general_base(A, A, H, t)
+            assert np.array_equal(nary.fn(xs), bivariate.fn(xs[0], xs[1])), t
+
+    def test_two_variable_tuple_matches_the_bivariate_pair(self):
+        A2 = im.nary_arithmetic(2)
+        H2 = im.NaryMean(lambda xs: H.fn(xs[0], xs[1]), 2, "harmonic[2]")
+        xs = random_vectors(2, 3000)
+        for t in (0.1, 0.5, 0.9):
+            K1, K2 = im.nary_invariant_tuple(A2, [A2, H2], t)
+            pair = im.general_pair(A, A, H, t)
+            assert np.array_equal(K1.fn(xs), pair.K.fn(xs[0], xs[1])), t
+            assert np.array_equal(K2.fn(xs), pair.L.fn(xs[0], xs[1])), t
 
     def test_identical_components_collapse_to_the_target(self):
         A3 = im.nary_arithmetic(3)
@@ -163,6 +183,9 @@ class TestEscapeRatio:
             im.counterexample_ratio(3, 1.0, 10.0)
         with pytest.raises(im.ParameterError, match="x > 0"):
             im.counterexample_ratio(3, 0.5, 0.0)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(im.ParameterError, match="x > 0"):
+                im.counterexample_ratio(3, 0.5, bad)
 
 
 class TestNaryMeannessScan:
