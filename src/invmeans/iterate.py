@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .means import _positive_finite
-from .verify import ScanReport, _scan
+from .verify import ScanReport, _blocks, _scan
 
 __all__ = ["IterationTrace", "iterate_pair", "invariant_value_along_trajectory"]
 
@@ -119,8 +119,8 @@ def invariant_value_along_trajectory(pair, trace: IterationTrace,
 
     def measure(xs, ys):
         values = np.asarray(pair.target.fn(xs, ys), dtype=float)
-        viol = np.abs(values - values[0]) / abs(values[0])
-        return viol, (np.arange(values.size), xs, ys, values)
+        for n, xs, ys, v in _blocks(np.arange(values.size), xs, ys, values):
+            yield np.abs(v - values[0]) / abs(values[0]), (n, xs, ys, v)
 
     return _scan(float(rel_tol), (trace.iterates[:, 0], trace.iterates[:, 1]),
                  measure, pair.target.fn)

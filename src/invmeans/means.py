@@ -146,17 +146,15 @@ def _pow(x, t: float):
     return np.exp(t * np.log(x))
 
 
-def _gap_log(hi, lo, d, near):
-    """log(hi/lo) with log1p accuracy when the relative gap is small.
+def _gap_log(hi, lo, d):
+    """log(hi/lo) for d = hi - lo, with log1p accuracy when the gap is small.
 
-    Wide gaps (d > lo) go through plain log subtraction, where cancellation
-    is harmless and d/lo could overflow.  Lanes marked near return 0.0 and
-    are expected to be discarded by the caller.
+    Gaps up to lo go through log1p(d/lo); wide gaps (d > lo) through plain
+    log subtraction, where cancellation is harmless and d/lo could
+    overflow, so their log1p argument is capped at 1.
     """
-    wide = d > lo
-    skip = near | wide
-    small = np.log1p(np.where(skip, 0.0, d) / np.where(skip, 1.0, lo))
-    return np.where(wide, np.log(hi) - np.log(lo), small)
+    small = np.log1p(np.minimum(d, lo) / lo)
+    return np.where(d > lo, np.log(hi) - np.log(lo), small)
 
 
 @_blockwise
@@ -172,7 +170,7 @@ def _logmean(x, y):
     m = 0.5 * (hi + lo)
     u = d / (2.0 * m)
     series = m * (1.0 - u * u / 3.0)
-    w = _gap_log(hi, lo, d, near)
+    w = _gap_log(hi, lo, d)
     return np.where(near, series, d / np.where(near, 1.0, w))
 
 
@@ -280,7 +278,7 @@ def stolarsky(r: float, s: float) -> Mean:
         m = 0.5 * (hi + lo)
         u = d / (2.0 * m)
         series = m * (1.0 + (r + s - 3.0) * (u * u) / 6.0)
-        w = _gap_log(hi, lo, d, near)
+        w = _gap_log(hi, lo, d)
         core = coeff * np.expm1(-r * w) / np.where(near, 1.0, np.expm1(-s * w))
         return np.where(near, series, hi * _pow(np.where(near, 1.0, core), q))
 

@@ -12,6 +12,7 @@ so for n >= 3 the construction escapes the min/max envelope.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 from .complement import _kernel
 from .errors import DomainError, ParameterError
 from .means import _positive_finite, _pow
-from .verify import DEFAULT_CONFIG, ScanConfig, ScanReport, _scan
+from .verify import DEFAULT_CONFIG, ScanConfig, ScanReport, _blocks, _scan
 
 __all__ = [
     "NaryMean",
@@ -69,9 +70,25 @@ def _check_arity(n: int) -> int:
     return n
 
 
+def _nary_arithmetic_fn(xs):
+    # the sum inside np.mean overflows once it passes DBL_MAX; only those
+    # lanes (an infinite mean of finite arguments) are redone, as
+    # max(x) * mean(x / max(x)), which stays in range; the quotient of the
+    # other lanes is discarded, so its warnings are too
+    with np.errstate(over="ignore"):
+        m = np.mean(xs, axis=0)
+    over = np.isinf(m)
+    if over.any():
+        over &= np.isfinite(xs).all(axis=0)
+        top = np.max(xs, axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m = np.where(over, top * np.mean(xs / top, axis=0), m)
+    return m
+
+
 def nary_arithmetic(n: int) -> NaryMean:
     n = _check_arity(n)
-    return NaryMean(lambda xs: np.mean(xs, axis=0), n, f"arithmetic[{n}]")
+    return NaryMean(_nary_arithmetic_fn, n, f"arithmetic[{n}]")
 
 
 def nary_geometric(n: int) -> NaryMean:
@@ -159,6 +176,12 @@ def counterexample_ratio(n: int, t: float, x: float) -> float:
     A = nary_arithmetic(n)
     G = nary_geometric(n)
     first = nary_invariant_tuple(A, (A,) + (G,) * (n - 1), t)[0]
+    if x > sys.float_info.max / n:
+        # K_1(1, x, ..., x) approaches (n - 1) x and would pass DBL_MAX;
+        # K_1 is homogeneous, so evaluate K_1(1/x, 1, ..., 1) instead
+        xs = np.ones(n)
+        xs[0] = 1.0 / x
+        return float(first(xs))
     xs = np.full(n, x)
     xs[0] = 1.0
     return float(first(xs)) / max(1.0, x)
@@ -182,10 +205,11 @@ def check_nary_meanness(F: NaryMean, cfg: ScanConfig | None = None) -> ScanRepor
     xs = np.concatenate([ray, rand], axis=1)
 
     def measure(*rows):
-        v = np.asarray(F.fn(xs), dtype=float)
-        mn = xs.min(axis=0)
-        mx = xs.max(axis=0)
-        return np.maximum(mn - v, v - mx) / mx, rows + (v,)
+        for block in _blocks(*rows):
+            b = np.stack(block)
+            v = np.asarray(F.fn(b), dtype=float)
+            mx = b.max(axis=0)
+            yield np.maximum(b.min(axis=0) - v, v - mx) / mx, block + (v,)
 
     return _scan(cfg.rel_tol, tuple(xs), measure,
                  lambda *row: F.fn(np.asarray(row, dtype=float)))

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import DomainError, InvalidMeanSpec
 from .means import Mean, _positive_finite
-from .verify import DEFAULT_CONFIG, ScanConfig, ScanReport, _pair_samples, _scan
+from .verify import (DEFAULT_CONFIG, ScanConfig, ScanReport, _blocks, _pair_samples,
+                     _scan)
 
 __all__ = [
     "ConeSet",
@@ -166,9 +167,10 @@ def check_exchange_property(A: ConeSet, samples=None,
         x, y = arr[:, 0], arr[:, 1]
 
     def measure(x, y):
-        k, l = _selections(A, x, y)
-        as_given = np.maximum(np.abs(k - x), np.abs(l - y))
-        swapped = np.maximum(np.abs(k - y), np.abs(l - x))
-        return np.minimum(as_given, swapped) / np.maximum(x, y), (x, y, k, l)
+        for x, y in _blocks(x, y):
+            k, l = _selections(A, x, y)
+            as_given = np.maximum(np.abs(k - x), np.abs(l - y))
+            swapped = np.maximum(np.abs(k - y), np.abs(l - x))
+            yield np.minimum(as_given, swapped) / np.maximum(x, y), (x, y, k, l)
 
     return _scan(cfg.rel_tol, (x, y), measure, lambda a, b: _selections(A, a, b))

@@ -8,22 +8,28 @@ a report passes exactly when the worst violation stays at or below the
 configured tolerance.
 
 Every check, here and in ``projective``, ``multivar`` and ``iterate``, is
-a ``measure`` callback mapping its sample lanes to (violations, witness
-columns), run by one engine, ``_scan``: numpy warnings silenced, one argmax
-reduction (``_finish``), and an evaluator exception turned into a failed
+a ``measure`` generator that yields (violations, witness columns) block by
+block, run by one engine, ``_scan``: numpy warnings silenced, one running
+argmax over the blocks, and an evaluator exception turned into a failed
 report whose witness is the first sample a one-at-a-time replay rejects.
 Non-finite output fails too; nothing is raised out of a scan.
 
-A scan hands each evaluator all of its lanes in one call; the library's
-multi-pass evaluators split that call into cache-sized blocks themselves
-(``means._blockwise``), so the scans here stay single-call and the
-reports do not depend on the block size.  The invariance scan takes K, L
-and M(x, y) from the pair's fused evaluator (``MeanPair.evaluate``).
-Only the latest pair and trace sample sets stay cached.
+A scan streams its lanes through blocks of ``means._BLOCK`` lanes
+(``_blocks``), so its violation arithmetic, the flag scans' random draws
+and the invariance scan's K, L and M columns stay cache-sized.  Only the
+subject's first evaluation F(x, y) of a meanness, flag or trace scan runs
+on all lanes in one call (the multi-pass evaluators block it themselves,
+``means._blockwise``); checks whose violation compares lanes with each
+other (adjacent trace values, a trajectory's first value) evaluate on
+all lanes first and stream elementwise columns.  Reports do not depend on
+the block size.  The invariance scan takes K, L and M(x, y) from the
+pair's fused evaluator (``MeanPair.evaluate``).  Only the latest pair and
+trace sample sets stay cached.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -31,6 +37,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .means import _BLOCK
 
 __all__ = [
     "ScanConfig",
@@ -164,6 +171,20 @@ def _lanes(v, x) -> np.ndarray:
 _FAILED = "evaluation failed"
 
 
+def _blocks(*columns):
+    """Consecutive ``_BLOCK``-lane slices of equal-length 1-D columns, one tuple per block.
+
+    The last block may be partial; columns of at most one block are
+    yielded as they are.
+    """
+    n = len(columns[0])
+    if n <= _BLOCK:
+        yield columns
+        return
+    for lo in range(0, n, _BLOCK):
+        yield tuple(c[lo:lo + _BLOCK] for c in columns)
+
+
 def _failure_report(replay, lanes, exc: Exception) -> ScanReport:
     # the vector evaluation raised; replay sample by sample to locate the
     # first sample the evaluator rejects
@@ -178,37 +199,42 @@ def _failure_report(replay, lanes, exc: Exception) -> ScanReport:
                       f"{_FAILED}: {exc}")
 
 
-def _finish(tol: float, viol, witness_arrays, samples: int | None = None) -> ScanReport:
-    viol = np.asarray(viol, dtype=float).ravel()
-    if viol.size == 0:
-        return ScanReport(True, 0.0, (), 0)
-    ranked = np.where(np.isfinite(viol), viol, np.inf)
-    idx = int(np.argmax(ranked))
-    worst = float(ranked[idx])
-    detail = "" if math.isfinite(viol[idx]) else "non-finite evaluation at witness"
-    witness = tuple(
-        float(np.asarray(a, dtype=float).ravel()[idx]) for a in witness_arrays
-    )
-    count = int(viol.size) if samples is None else int(samples)
-    return ScanReport(worst <= tol, worst, witness, count, detail)
-
-
-def _scan(tol: float, lanes, measure, replay, samples: int | None = None) -> ScanReport:
+def _scan(tol: float, lanes, measure, replay, samples: int | None = None,
+          rows=None) -> ScanReport:
     """The scan engine that every check plugs into.
 
-    ``measure(*lanes)`` returns (violations, witness columns); the report
-    is the worst violation against ``tol`` with its witness, counting
-    ``samples`` (default: one per violation).  Numpy warnings are silenced
-    throughout.  If ``measure`` raises, ``replay`` is called on one sample
-    of ``lanes`` at a time and the first sample it rejects is the witness
-    of a failed report.
+    ``measure(*lanes)`` yields (violations, witness columns) block by
+    block, normally over ``_blocks``, so no temporary outgrows a block.
+    The engine keeps a running worst violation, its witness and the lane
+    count; the report is the worst violation against ``tol``, counting
+    ``samples`` (default: one per violation).  A non-finite violation
+    ranks above every finite one and a tie keeps the earlier lane, so the
+    report is the one a single argmax over all lanes would give.  Numpy
+    warnings are silenced throughout.  If ``measure`` raises, ``replay``
+    is called on one sample of ``lanes`` (of ``rows()`` when given) at a
+    time and the first sample it rejects is the witness of a failed
+    report.
     """
+    worst, witness, count = -math.inf, (), 0
     with np.errstate(all="ignore"):
         try:
-            viol, witness = measure(*lanes)
+            for viol, columns in measure(*lanes):
+                viol = np.asarray(viol, dtype=float).ravel()
+                if viol.size == 0:
+                    continue
+                count += viol.size
+                ranked = np.where(np.isfinite(viol), viol, np.inf)
+                i = int(np.argmax(ranked))
+                if ranked[i] > worst:
+                    worst = float(ranked[i])
+                    witness = tuple(float(c[i]) for c in columns)
         except Exception as exc:
-            return _failure_report(replay, lanes, exc)
-        return _finish(tol, viol, witness, samples)
+            return _failure_report(replay, lanes if rows is None else rows(), exc)
+    if count == 0:
+        return ScanReport(True, 0.0, (), 0)
+    detail = "" if worst < math.inf else "non-finite evaluation at witness"
+    return ScanReport(worst <= tol, worst, witness,
+                      count if samples is None else int(samples), detail)
 
 
 def check_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
@@ -220,9 +246,9 @@ def check_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
     cfg = cfg or DEFAULT_CONFIG
 
     def measure(x, y):
-        v = _lanes(F.fn(x, y), x)
-        viol = np.maximum(np.minimum(x, y) - v, v - np.maximum(x, y)) / np.maximum(x, y)
-        return viol, (x, y, v)
+        for x, y, v in _blocks(x, y, _lanes(F.fn(x, y), x)):
+            mx = np.maximum(x, y)
+            yield np.maximum(np.minimum(x, y) - v, v - mx) / mx, (x, y, v)
 
     return _scan(cfg.rel_tol, _pair_samples(cfg), measure, F.fn)
 
@@ -243,16 +269,17 @@ def _invariance_terms(pair, x, y):
 def check_invariance(pair, cfg: ScanConfig | None = None) -> ScanReport:
     """Scan |M(K(x,y), L(x,y)) - M(x,y)| / M(x,y) for a MeanPair.
 
-    K, L and M(x, y) come from one ``pair.evaluate`` call, so a kernel
-    pair runs its kernel once per lane.  Witness layout:
+    K, L and M(x, y) come from one ``pair.evaluate`` call per block, so a
+    kernel pair runs its kernel once per lane.  Witness layout:
     (x, y, M(K,L), M(x,y)).
     """
     cfg = cfg or DEFAULT_CONFIG
     K, L, M = pair.K, pair.L, pair.target
 
     def measure(x, y):
-        _, _, inner, outer, viol = _invariance_terms(pair, x, y)
-        return viol, (x, y, inner, outer)
+        for x, y in _blocks(x, y):
+            _, _, inner, outer, viol = _invariance_terms(pair, x, y)
+            yield viol, (x, y, inner, outer)
 
     return _scan(cfg.rel_tol, _pair_samples(cfg), measure,
                  lambda a, b: M.fn(K.fn(a, b), L.fn(a, b)))
@@ -260,7 +287,8 @@ def check_invariance(pair, cfg: ScanConfig | None = None) -> ScanReport:
 
 def _trace_scan(F, cfg: ScanConfig | None, measure, skip_one: bool = False) -> ScanReport:
     # ``measure(x, f)`` sees the trace f(x) = F(x, 1) on the 1-D samples,
-    # without those within 1e-9 of x = 1 when ``skip_one`` is set
+    # evaluated on all of them at once, without those within 1e-9 of
+    # x = 1 when ``skip_one`` is set
     if not F.homogeneous:
         raise DomainError(f"{F.label}: trace checks require the homogeneous flag")
     cfg = cfg or DEFAULT_CONFIG
@@ -280,8 +308,9 @@ def check_trace_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
     Witness layout: (x, f(x)).
     """
     def measure(x, m):
-        d = (m - 1.0) / (x - 1.0)
-        return np.maximum(-d, d - 1.0), (x, m)
+        for x, m in _blocks(x, m):
+            d = (m - 1.0) / (x - 1.0)
+            yield np.maximum(-d, d - 1.0), (x, m)
 
     return _trace_scan(F, cfg, measure, skip_one=True)
 
@@ -296,38 +325,57 @@ def check_monotone_trace(F, cfg: ScanConfig | None = None) -> ScanReport:
     adjacent decrease.
     """
     def measure(x, m):
-        return (m[:-1] - m[1:]) / np.abs(m[1:]), (x[:-1], x[1:], m[:-1], m[1:])
+        for x0, x1, m0, m1 in _blocks(x[:-1], x[1:], m[:-1], m[1:]):
+            yield (m0 - m1) / np.abs(m1), (x0, x1, m0, m1)
 
     return _trace_scan(F, cfg, measure)
 
 
-# Flag scans: (fn, cfg, x, y, v) -> (violations, witness columns), where v
-# is F(x, y), evaluated once by check_flags for all of them.
+# Flag scans.  A scan with a ``call`` makes one call of its own per lane
+# besides the shared F(x, y): ``call(fn, x, y, *draws)``, where ``draws``
+# are the scan's random columns, drawn block by block by
+# ``draw(cfg, x, y)`` when the scan has a ``draw``.  ``violation(x, y, v,
+# [w,] *draws)`` maps v = F(x, y) and the call's result w to (violations,
+# witness columns).
 
-def _scan_symmetric(fn, cfg, x, y, v):
-    v2 = _lanes(fn(y, x), x)
+def _scale_factors(cfg, x, y):
+    # log-uniform on [1e-3, 1e3] from one stream, the documented factors
+    # pinned in the leading lanes
+    rng = np.random.default_rng(cfg.seed + 1)
+    for i, (b,) in enumerate(_blocks(x)):
+        lam = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), b.size))
+        if i == 0:
+            lam[:4] = (1e-3, 1.0, 7.5, 1e3)
+        yield (lam,)
+
+
+def _dominating(cfg, x, y):
+    # (x2, y2) log-uniform on [x, hi] x [y, hi]: x2 draws the stream of
+    # seed + 2 from its start, y2 continues it after all of x2's draws
+    lhi = math.log(cfg.domain[1])
+    rng_x = np.random.default_rng(cfg.seed + 2)
+    rng_y = np.random.Generator(np.random.PCG64(cfg.seed + 2).advance(np.size(x)))
+    for x, y in _blocks(x, y):
+        yield (np.exp(rng_x.uniform(np.log(x), lhi)),
+               np.exp(rng_y.uniform(np.log(y), lhi)))
+
+
+def _symmetric(x, y, v, v2):
+    v2 = _lanes(v2, x)
     return np.abs(v - v2) / np.maximum(x, y), (x, y, v, v2)
 
 
-def _scan_homogeneous(fn, cfg, x, y, v):
-    rng = np.random.default_rng(cfg.seed + 1)
-    lam = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), x.size))
-    # pin the documented scale factors in the leading lanes
-    lam[:4] = (1e-3, 1.0, 7.5, 1e3)
-    vs = _lanes(fn(lam * x, lam * y), x)
+def _homogeneous(x, y, v, vs, lam):
+    vs = _lanes(vs, x)
     return np.abs(vs - lam * v) / (lam * np.maximum(x, y)), (x, y, lam)
 
 
-def _scan_monotone(fn, cfg, x, y, v):
-    rng = np.random.default_rng(cfg.seed + 2)
-    lhi = math.log(cfg.domain[1])
-    x2 = np.exp(rng.uniform(np.log(x), lhi))
-    y2 = np.exp(rng.uniform(np.log(y), lhi))
-    v2 = _lanes(fn(x2, y2), x)
+def _monotone(x, y, v, v2, x2, y2):
+    v2 = _lanes(v2, x)
     return (v - v2) / np.abs(v2), (x, y, x2, y2)
 
 
-def _scan_strict(fn, cfg, x, y, v):
+def _strict(tol, x, y, v):
     # strictness is only meaningful away from the diagonal; require the
     # margin to clear the tolerance at well-separated arguments, scaling
     # each side by its own envelope endpoint (a mean may legitimately hug
@@ -337,15 +385,41 @@ def _scan_strict(fn, cfg, x, y, v):
     mn = np.minimum(x, y)[keep]
     mx = np.maximum(x, y)[keep]
     margin = np.minimum((v - mn) / mn, (mx - v) / mx)
-    return 2.0 * cfg.rel_tol - margin, (x[keep], y[keep], v)
+    return 2.0 * tol - margin, (x[keep], y[keep], v)
 
 
-_FLAG_SCANS = (
-    ("symmetric", _scan_symmetric),
-    ("homogeneous", _scan_homogeneous),
-    ("monotone", _scan_monotone),
-    ("strict", _scan_strict),
-)
+def _flag_scans(tol):
+    # (flag, draw, call, violation) in declaration order
+    return (
+        ("symmetric", None, lambda fn, x, y: fn(y, x), _symmetric),
+        ("homogeneous", _scale_factors,
+         lambda fn, x, y, lam: fn(lam * x, lam * y), _homogeneous),
+        ("monotone", _dominating, lambda fn, x, y, x2, y2: fn(x2, y2), _monotone),
+        ("strict", None, None, lambda x, y, v: _strict(tol, x, y, v)),
+    )
+
+
+def _flag_scan(fn, cfg, value, draw, call, violation) -> ScanReport:
+    # one flag scan; ``value()`` is F(x, y) on all lanes.  A raise is
+    # replayed through F(x, y) and the scan's own call, with the draws of
+    # each lane, so the witness is the first sample that raises
+    x, y = _pair_samples(cfg)
+
+    def measure(x, y):
+        draws = draw(cfg, x, y) if draw else itertools.repeat(())
+        for (x, y, v), d in zip(_blocks(x, y, value()), draws):
+            w = () if call is None else (call(fn, x, y, *d),)
+            yield violation(x, y, v, *w, *d)
+
+    def replay(a, b, *d):
+        fn(a, b)
+        if call is not None:
+            call(fn, a, b, *d)
+
+    def rows():
+        return (x, y, *(np.concatenate(c) for c in zip(*draw(cfg, x, y))))
+
+    return _scan(cfg.rel_tol, (x, y), measure, replay, rows=rows if draw else None)
 
 
 def check_flags(F, cfg: ScanConfig | None = None) -> ScanReport:
@@ -355,18 +429,18 @@ def check_flags(F, cfg: ScanConfig | None = None) -> ScanReport:
     monotone (by sampled pair dominance), strict (by clearance of the
     min/max envelope at separated arguments).  A failing report carries
     ``detail = "flag falsified: <name>"``.  Undeclared flags are skipped;
-    a mean with no flags passes vacuously.  F(x, y) is evaluated once and
-    shared by the flag scans.
+    a mean with no flags passes vacuously.  F(x, y) is evaluated once, on
+    all lanes, and shared by the flag scans; an evaluation that raises
+    fails the report with the first sample that raises as witness.
     """
     cfg = cfg or DEFAULT_CONFIG
     x, y = _pair_samples(cfg)
     value = cache(lambda: _lanes(F.fn(x, y), x))
     sub_reports = []
-    for name, scan in _FLAG_SCANS:
+    for name, draw, call, violation in _flag_scans(cfg.rel_tol):
         if not getattr(F, name):
             continue
-        rep = _scan(cfg.rel_tol, (x, y),
-                    lambda x, y, scan=scan: scan(F.fn, cfg, x, y, value()), F.fn)
+        rep = _flag_scan(F.fn, cfg, value, draw, call, violation)
         if rep.detail.startswith(_FAILED):
             return rep
         if not rep.passed:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import invmeans as im
+from invmeans.means import _gap_log
+from invmeans.verify import _pair_samples
 
 
 def mp_logmean(x, y):
@@ -275,6 +277,33 @@ class TestNearDiagonalAccuracy:
                 v = F(x, y)
                 assert np.isfinite(v)
                 assert min(x, y) <= v <= max(x, y)
+
+
+class TestGapLog:
+    @staticmethod
+    def masked_gap_log(hi, lo, d, near):
+        # the earlier formula: near and wide lanes masked out of log1p
+        wide = d > lo
+        skip = near | wide
+        small = np.log1p(np.where(skip, 0.0, d) / np.where(skip, 1.0, lo))
+        return np.where(wide, np.log(hi) - np.log(lo), small)
+
+    def test_matches_the_masked_formula_on_every_kept_lane(self):
+        # the default scan set plus lanes straddling the series cutover;
+        # near-diagonal lanes are discarded by _logmean and stolarsky
+        x, y = _pair_samples(im.DEFAULT_CONFIG)
+        assert x.size == 45080
+        base = np.geomspace(1e-6, 1e6, 101)
+        gaps = np.array([1e-6, 1e-7, 2e-8, 1e-8, 5e-9, 1e-9, 1e-12, 0.0])
+        x = np.concatenate([x, np.repeat(base, gaps.size)])
+        y = np.concatenate([y, np.outer(base, 1.0 + gaps).ravel()])
+        hi, lo = np.maximum(x, y), np.minimum(x, y)
+        d = hi - lo
+        near = d <= im.NEAR_DIAGONAL_RTOL * hi
+        assert near.any() and (~near & (d <= lo)).any() and (d > lo).any()
+        got = _gap_log(hi, lo, d)
+        assert np.array_equal(got[~near], self.masked_gap_log(hi, lo, d, near)[~near])
+        assert np.isfinite(got).all()
 
 
 class TestStructuralIdentities:

@@ -1,5 +1,7 @@
 """n-ary constructions: invariance survives, mean-ness escapes for n >= 3."""
 
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -186,6 +188,50 @@ class TestEscapeRatio:
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(im.ParameterError, match="x > 0"):
                 im.counterexample_ratio(3, 0.5, bad)
+
+
+class TestOverflow:
+    # tier-1 turns RuntimeWarning into an error, so these also show that
+    # no overflow warning escapes
+
+    def test_arithmetic_at_the_top_of_the_float_range(self):
+        F = im.nary_arithmetic(3)
+        assert F([1e308] * 3) == 1e308
+        top = sys.float_info.max
+        assert F([top] * 3) == top
+        assert F([top, 1.0, top]) == pytest.approx(top / 3.0 * 2.0, rel=1e-15)
+
+    def test_arithmetic_redoes_only_the_overflowing_lanes(self):
+        xs = random_vectors(3, 200)
+        xs[:, 17] = 1e308
+        xs[:, 101] = (1e308, 1.0, 1.7e308)
+        out = im.nary_arithmetic(3)(xs)
+        finite = np.ones(200, dtype=bool)
+        finite[[17, 101]] = False
+        assert np.array_equal(out[finite], np.mean(xs[:, finite], axis=0))
+        assert out[17] == 1e308
+        assert out[101] == pytest.approx(1e308 / 3.0 + 1.7e308 / 3.0, rel=1e-15)
+
+    def test_arithmetic_keeps_an_infinite_argument_infinite(self):
+        # the evaluator itself, past the public positivity check: a
+        # component that returns inf reaches it inside the kernel and scans
+        fn = im.nary_arithmetic(3).fn
+        assert fn(np.array([np.inf, 1.0, 1.0])) == np.inf
+        xs = np.array([[np.inf, 1e308, 2.0], [1.0, 1e308, 3.0], [1.0, 1e308, 4.0]])
+        assert np.array_equal(fn(xs), [np.inf, 1e308, 3.0])
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_escape_ratio_at_the_top_of_the_float_range(self, n):
+        top = sys.float_info.max
+        for x in (top / n, 1e308, top):
+            ratio = im.counterexample_ratio(n, 0.5, x)
+            assert abs(ratio - (n - 1)) < 1e-12 * n
+
+    def test_escape_ratio_is_continuous_across_the_rescaled_range(self):
+        # above DBL_MAX / n the ratio is evaluated at (1/x, 1, ..., 1)
+        below = im.counterexample_ratio(3, 0.25, sys.float_info.max / 3 * 0.99)
+        above = im.counterexample_ratio(3, 0.25, sys.float_info.max / 3 * 1.01)
+        assert below == pytest.approx(above, rel=1e-14)
 
 
 class TestNaryMeannessScan:

@@ -15,6 +15,19 @@ H = im.classical("harmonic")
 G = im.classical("geometric")
 
 CFG = im.ScanConfig(points_per_axis=16)
+# 11,288 lanes: one full block of means._BLOCK = 8,192 lanes and a partial one
+BIG = im.ScanConfig(points_per_axis=32)
+
+
+def _per_scan(calls, n):
+    """Group recorded (a, b) calls into consecutive runs of n lanes, one per scan."""
+    groups, seen = [], 0
+    for a, b in calls:
+        if seen % n == 0:
+            groups.append([])
+        groups[-1].append((a, b))
+        seen += np.size(a)
+    return groups
 
 
 def _explode(x, y):
@@ -189,8 +202,9 @@ class TestFlagScans:
         assert report.detail == "flag falsified: symmetric"
 
     def test_all_flags_evaluate_the_mean_four_times(self):
-        # F(x, y) once, shared by the four scans, plus the swapped, scaled
-        # and shifted evaluations
+        # F(x, y) once on every lane, shared by the four scans, plus the
+        # swapped, scaled and shifted evaluations block by block; BIG has
+        # two blocks
         calls = []
 
         def recording(x, y):
@@ -199,11 +213,14 @@ class TestFlagScans:
 
         F = dataclasses.replace(A, fn=recording)
         assert F.symmetric and F.homogeneous and F.monotone and F.strict
-        assert im.check_flags(F, CFG) == im.check_flags(A, CFG)
-        assert len(calls) == 4
-        x, y = _pair_samples(CFG)
+        assert im.check_flags(F, BIG) == im.check_flags(A, BIG)
+        x, y = _pair_samples(BIG)
+        assert sum(np.size(a) for a, _ in calls) == 4 * x.size
         assert calls[0][0] is x and calls[0][1] is y
-        assert calls[1][0] is y and calls[1][1] is x
+        direct, swapped, _, _ = _per_scan(calls, x.size)
+        assert len(direct) == 1 and len(swapped) == 2
+        assert np.array_equal(np.concatenate([a for a, _ in swapped]), y)
+        assert np.array_equal(np.concatenate([b for _, b in swapped]), x)
 
     def test_strict_scan_reuses_the_full_evaluation(self):
         calls = []
@@ -246,6 +263,22 @@ class TestFailureReporting:
         assert calls[0][0] is x and calls[0][1] is y
         assert report.samples_checked == x.size
 
+    def test_meanness_hands_the_cached_lanes_whole_to_the_first_call(self):
+        # a scan streams blocks, but the subject's first evaluation still
+        # receives the cached (x, y) themselves, all lanes in one call
+        calls = []
+
+        def recording(x, y):
+            calls.append((x, y))
+            return A.fn(x, y)
+
+        report = im.check_meanness(im.Mean(recording, "recording"), BIG)
+        x, y = _pair_samples(BIG)
+        assert x.size > 8192
+        assert len(calls) == 1
+        assert calls[0][0] is x and calls[0][1] is y
+        assert report.samples_checked == x.size
+
     @pytest.mark.parametrize("check", [im.check_trace_meanness,
                                        im.check_monotone_trace, im.check_flags])
     def test_raising_evaluator_fails_every_mean_check(self, check):
@@ -267,19 +300,55 @@ class TestFailureReporting:
         assert len(report.witness) == 2
 
     def test_flags_report_a_raise_on_the_swapped_call(self):
-        x, _ = _pair_samples(CFG)
+        x, _ = _pair_samples(BIG)
 
         def refuse_swapped(a, b):
-            if b is x:
+            # only the swapped call passes (a block of) x second
+            if np.shares_memory(b, x):
                 raise ValueError("swapped arguments")
             return A.fn(a, b)
 
         F = dataclasses.replace(A, fn=refuse_swapped)
-        report = im.check_flags(F, CFG)
+        report = im.check_flags(F, BIG)
         assert not report.passed
         assert report.worst_violation == math.inf
         assert report.detail == "evaluation failed: swapped arguments"
         assert report.samples_checked == x.size
+
+    @pytest.mark.parametrize("scan, width", [(1, 2), (2, 3), (3, 4)],
+                             ids=["swapped", "scaled", "shifted"])
+    def test_flag_replay_finds_the_first_sample_that_raises(self, scan, width):
+        # a mean that raises on one lane of one flag scan's own call, in
+        # the second block; the replay walks that call, so the witness is
+        # that lane: (x, y), plus the scale factor or the shifted pair
+        calls = []
+
+        def recording(a, b):
+            calls.append((a, b))
+            return A.fn(a, b)
+
+        im.check_flags(dataclasses.replace(A, fn=recording), BIG)
+        x, y = _pair_samples(BIG)
+        a_all, b_all = (np.concatenate(c)
+                        for c in zip(*_per_scan(calls, x.size)[scan]))
+        j = x.size - 7
+        ta, tb = a_all[j], b_all[j]
+
+        def refuse(a, b):
+            if np.any((a == ta) & (b == tb)):
+                raise ValueError("refused lane")
+            return A.fn(a, b)
+
+        report = im.check_flags(dataclasses.replace(A, fn=refuse), BIG)
+        assert report.detail == "evaluation failed: refused lane"
+        assert report.worst_violation == math.inf
+        assert len(report.witness) == width
+        assert report.witness[:2] == (x[j], y[j])
+        if scan == 2:
+            lam = report.witness[2]
+            assert (lam * x[j], lam * y[j]) == (ta, tb)
+        if scan == 3:
+            assert report.witness[2:] == (ta, tb)
 
     def test_nan_output_is_a_failure_with_detail(self):
         def patchy(x, y):
