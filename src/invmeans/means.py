@@ -13,6 +13,16 @@ multi-pass evaluators (logarithmic, power and Stolarsky means) run long
 temporaries in the core's L2 cache instead of streaming one scan-sized
 array per temporary, and the output is bit-identical to a single pass.
 The short arithmetic, geometric and harmonic formulas run whole.
+
+Each lane computes one branch.  The quotient-form evaluators run their
+main formula on every lane and then patch the exceptional lanes
+(``_patch``): the near-diagonal series of the logarithmic and Stolarsky
+means and the log1p form of a narrow gap (``_gap_log``) run on those
+lanes only, gathered out and scattered back, instead of on every lane
+for an ``np.where`` to throw away.  Scans sample log-uniform pairs, so
+those lanes are rare.  The power mean takes one power per lane: the
+term of the argument it factors out is exactly 1.  Both give the same
+bits as computing every branch and selecting one.
 """
 from __future__ import annotations
 
@@ -146,15 +156,48 @@ def _pow(x, t: float):
     return np.exp(t * np.log(x))
 
 
+def _patch(out, mask, fn, *cols):
+    """``out`` with the lanes of ``mask`` replaced by ``fn(*cols)``.
+
+    ``fn`` runs on the masked lanes only: the lanes of ``mask`` are
+    gathered from each column (all of ``mask``'s shape), passed to
+    ``fn`` and scattered into ``out`` in place, so an exceptional branch
+    costs nothing when no lane takes it.  ``fn`` must be elementwise; its
+    results are the same bits as on the whole columns.  A 0-d or scalar
+    ``out`` (a validated scalar call) is returned or replaced whole.
+    """
+    if np.ndim(out) == 0:
+        return fn(*cols) if mask else out
+    if mask.any():
+        lanes = np.nonzero(mask)
+        out[lanes] = fn(*(c[lanes] for c in cols))
+    return out
+
+
+def _one():
+    # the guard value of the lanes another branch will replace
+    return 1.0
+
+
 def _gap_log(hi, lo, d):
     """log(hi/lo) for d = hi - lo, with log1p accuracy when the gap is small.
 
-    Gaps up to lo go through log1p(d/lo); wide gaps (d > lo) through plain
-    log subtraction, where cancellation is harmless and d/lo could
-    overflow, so their log1p argument is capped at 1.
+    Every lane takes plain log subtraction, where cancellation is harmless
+    for wide gaps (d > lo) and d/lo could overflow; the narrow lanes
+    (d <= lo) are patched with log1p(d/lo), which stays fully accurate as
+    the gap closes.
     """
-    small = np.log1p(np.minimum(d, lo) / lo)
-    return np.where(d > lo, np.log(hi) - np.log(lo), small)
+    return _patch(np.log(hi) - np.log(lo), d <= lo, _log1p_gap, lo, d)
+
+
+def _log1p_gap(lo, d):
+    return np.log1p(d / lo)
+
+
+def _logmean_series(hi, lo, d):
+    m = 0.5 * (hi + lo)
+    u = d / (2.0 * m)
+    return m * (1.0 - u * u / 3.0)
 
 
 @_blockwise
@@ -162,16 +205,14 @@ def _logmean(x, y):
     # (x - y)/(log x - log y), extended by continuity across the diagonal.
     # The quotient runs on log1p of the relative gap, which keeps it fully
     # accurate for nearby arguments; inside NEAR_DIAGONAL_RTOL a
-    # second-order midpoint series takes over.
+    # second-order midpoint series takes over, patched into those lanes
+    # after a guard of 1.0 kept the quotient from dividing by 0 there.
     hi = np.maximum(x, y)
     lo = np.minimum(x, y)
     d = hi - lo
     near = d <= NEAR_DIAGONAL_RTOL * hi
-    m = 0.5 * (hi + lo)
-    u = d / (2.0 * m)
-    series = m * (1.0 - u * u / 3.0)
-    w = _gap_log(hi, lo, d)
-    return np.where(near, series, d / np.where(near, 1.0, w))
+    w = _patch(_gap_log(hi, lo, d), near, _one)
+    return _patch(d / w, near, _logmean_series, hi, lo, d)
 
 
 def _arithmetic_fn(x, y):
@@ -223,12 +264,14 @@ def _proj2_fn(x, y):
 
 
 def _power_fn(p: float):
+    big, other = (np.maximum, np.minimum) if p > 0 else (np.minimum, np.maximum)
+
     def fn(x, y):
-        # factor out one argument so the powers stay in (0, 1]
-        b = np.maximum(x, y) if p > 0 else np.minimum(x, y)
-        rx = _pow(x / b, p)
-        ry = _pow(y / b, p)
-        return b * _pow(0.5 * (rx + ry), 1.0 / p)
+        # factor out b = max(x, y) (min for p < 0) so the power stays in
+        # (0, 1].  The term of b itself, (b/b)**p, is b/b: exactly 1.0,
+        # and nan where b is 0 or inf, so it costs no power
+        b = big(x, y)
+        return b * _pow(0.5 * (b / b + _pow(other(x, y) / b, p)), 1.0 / p)
 
     return _blockwise(fn)
 
@@ -270,17 +313,22 @@ def stolarsky(r: float, s: float) -> Mean:
     q = 1.0 / (r - s)
     coeff = s / r
 
+    def series(hi, lo, d):
+        m = 0.5 * (hi + lo)
+        u = d / (2.0 * m)
+        return m * (1.0 + (r + s - 3.0) * (u * u) / 6.0)
+
     def fn(x, y):
+        # the quotient form on every lane, with guards of 1.0 where the
+        # near-diagonal series will be patched in
         hi = np.maximum(x, y)
         lo = np.minimum(x, y)
         d = hi - lo
         near = d <= NEAR_DIAGONAL_RTOL * hi
-        m = 0.5 * (hi + lo)
-        u = d / (2.0 * m)
-        series = m * (1.0 + (r + s - 3.0) * (u * u) / 6.0)
         w = _gap_log(hi, lo, d)
-        core = coeff * np.expm1(-r * w) / np.where(near, 1.0, np.expm1(-s * w))
-        return np.where(near, series, hi * _pow(np.where(near, 1.0, core), q))
+        core = coeff * np.expm1(-r * w) / _patch(np.expm1(-s * w), near, _one)
+        out = hi * _pow(_patch(core, near, _one), q)
+        return _patch(out, near, series, hi, lo, d)
 
     name = f"stolarsky:{r!r}:{s!r}"
     return Mean(

@@ -25,6 +25,15 @@ all lanes first and stream elementwise columns.  Reports do not depend on
 the block size.  The invariance scan takes K, L and M(x, y) from the
 pair's fused evaluator (``MeanPair.evaluate``).  Only the latest pair and
 trace sample sets stay cached.
+
+Random draws (the supplement, the homogeneity scale factors and the
+dominating pairs of the monotone scan) are ``low + (high - low) * u`` on
+``Generator.random``, written out (``_log_uniform``): the formula that
+``Generator.uniform(low, high)`` evaluates on the same stream, so the
+draws are the same bits, but without its broadcasting path, which costs
+several times as much per lane when ``low`` is an array.  The sample set
+is filled in place: grid, ratio probes, then the supplement, drawn,
+scaled and exponentiated in its slice of the two output arrays.
 """
 from __future__ import annotations
 
@@ -120,37 +129,48 @@ class ScanReport:
         return out
 
 
+def _log_uniform(rng, low, high, out):
+    """Fill ``out`` with exp of ``rng.uniform(low, high)`` draws, in place.
+
+    ``low + (high - low) * u`` on ``rng.random`` is the formula
+    ``Generator.uniform`` evaluates on the same stream, so the values
+    are the same bits, without its broadcasting path.
+    """
+    rng.random(out=out)
+    out *= np.subtract(high, low)
+    out += low
+    return np.exp(out, out=out)
+
+
 @lru_cache(maxsize=1)
 def _pair_samples(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
     """Shared (x, y) sample set: grid + ratio probes + random supplement."""
     lo, hi = cfg.domain
     n = cfg.points_per_axis
-    axis = np.geomspace(lo, hi, n)
-    gx, gy = np.meshgrid(axis, axis)
-    parts_x = [gx.ravel()]
-    parts_y = [gy.ravel()]
     # counterexample violations live at extreme ratios, so probe them
-    # explicitly at ratios 10^k as far as the domain allows
+    # explicitly at ratios 10^k as far as the domain allows; a probe that
+    # rounds past an end of the domain is clamped onto it
     center = math.sqrt(lo * hi)
     probes = []
     for k in range(1, 13):
         ratio = 10.0 ** k
         if ratio > hi / lo:
             break
-        a = center * math.sqrt(ratio)
-        b = center / math.sqrt(ratio)
+        a = min(center * math.sqrt(ratio), hi)
+        b = max(center / math.sqrt(ratio), lo)
         probes.extend([(a, b), (b, a)])
+    grid, k, m = n * n, len(probes), 10 * n * n
+    x = np.empty(grid + k + m)
+    y = np.empty(grid + k + m)
+    axis = np.geomspace(lo, hi, n)
+    x[:grid].reshape(n, n)[...] = axis
+    y[:grid].reshape(n, n)[...] = axis[:, None]
     if probes:
-        px, py = zip(*probes)
-        parts_x.append(np.asarray(px, dtype=float))
-        parts_y.append(np.asarray(py, dtype=float))
+        x[grid:grid + k], y[grid:grid + k] = zip(*probes)
     rng = np.random.default_rng(cfg.seed)
-    m = 10 * n * n
     llo, lhi = math.log(lo), math.log(hi)
-    parts_x.append(np.exp(rng.uniform(llo, lhi, m)))
-    parts_y.append(np.exp(rng.uniform(llo, lhi, m)))
-    x = np.concatenate(parts_x)
-    y = np.concatenate(parts_y)
+    _log_uniform(rng, llo, lhi, x[grid + k:])
+    _log_uniform(rng, llo, lhi, y[grid + k:])
     x.setflags(write=False)
     y.setflags(write=False)
     return x, y
@@ -343,7 +363,7 @@ def _scale_factors(cfg, x, y):
     # pinned in the leading lanes
     rng = np.random.default_rng(cfg.seed + 1)
     for i, (b,) in enumerate(_blocks(x)):
-        lam = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), b.size))
+        lam = _log_uniform(rng, math.log(1e-3), math.log(1e3), np.empty(b.size))
         if i == 0:
             lam[:4] = (1e-3, 1.0, 7.5, 1e3)
         yield (lam,)
@@ -356,8 +376,8 @@ def _dominating(cfg, x, y):
     rng_x = np.random.default_rng(cfg.seed + 2)
     rng_y = np.random.Generator(np.random.PCG64(cfg.seed + 2).advance(np.size(x)))
     for x, y in _blocks(x, y):
-        yield (np.exp(rng_x.uniform(np.log(x), lhi)),
-               np.exp(rng_y.uniform(np.log(y), lhi)))
+        yield (_log_uniform(rng_x, np.log(x), lhi, np.empty(x.size)),
+               _log_uniform(rng_y, np.log(y), lhi, np.empty(y.size)))
 
 
 def _symmetric(x, y, v, v2):

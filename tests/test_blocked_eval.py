@@ -1,13 +1,17 @@
-"""Blocked evaluation and the fused pair evaluator keep every bit.
+"""Blocked evaluation, patched lanes and the fused pair evaluator keep every bit.
 
 The multi-pass evaluators and the pair kernel run long 1-D inputs in
 blocks of ``means._BLOCK`` lanes; the reference here is the same call
 with blocking switched off (the block size raised past every input), so
-nested evaluators run unblocked too.
+nested evaluators run unblocked too.  The logarithmic, Stolarsky and
+power means compute one branch per lane and patch the exceptional lanes;
+their reference is the earlier formula that computed every branch on
+every lane and selected one with ``np.where``.
 """
 
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +88,18 @@ def _inputs():
     axis = np.geomspace(1e-3, 1e3, 181)
     out["meshgrid"] = tuple(np.meshgrid(axis, axis))
     out["0d"] = (np.asarray(2.0), np.asarray(7.0))
+    out["scalar"] = (2.0, 7.0)
+    # relative gaps 1e-16 .. 1e-7 on both sides, all inside the series
+    # cutover or just outside it, then the exact diagonal, then gaps up
+    # to 1 (the log1p lanes of _gap_log)
+    base = np.geomspace(1e-300, 1e300, 61)
+    near = np.concatenate([-np.geomspace(1e-16, 1e-7, 19), np.geomspace(1e-16, 1e-7, 19)])
+    out["near-diagonal"] = (np.repeat(base, near.size), np.outer(base, 1.0 + near).ravel())
+    out["diagonal"] = (x, x.copy())
+    narrow = np.geomspace(1e-7, 1.0, 29)
+    out["narrow-gap"] = (np.repeat(base, narrow.size), np.outer(base, 1.0 + narrow).ravel())
+    out["0d-near"] = (np.asarray(3.0), np.asarray(3.0 * (1.0 + 1e-12)))
+    out["scalar-diagonal"] = (5.0, 5.0)
     return out
 
 
@@ -107,6 +123,132 @@ def test_blocked_output_equals_unblocked(subject, inputs, monkeypatch):
     for b, d in zip(blocked, direct):
         assert np.shape(b) == np.shape(d)
         assert np.array_equal(b, d, equal_nan=True)
+
+
+def _earlier_pow(x, t):
+    if t == 1.0:
+        return np.asarray(x, dtype=float)
+    return np.exp(t * np.log(x))
+
+
+def _earlier_gap_log(hi, lo, d):
+    small = np.log1p(np.minimum(d, lo) / lo)
+    return np.where(d > lo, np.log(hi) - np.log(lo), small)
+
+
+def _earlier_logmean(x, y):
+    hi = np.maximum(x, y)
+    lo = np.minimum(x, y)
+    d = hi - lo
+    near = d <= im.NEAR_DIAGONAL_RTOL * hi
+    m = 0.5 * (hi + lo)
+    u = d / (2.0 * m)
+    series = m * (1.0 - u * u / 3.0)
+    w = _earlier_gap_log(hi, lo, d)
+    return np.where(near, series, d / np.where(near, 1.0, w))
+
+
+def _earlier_stolarsky(r, s):
+    q = 1.0 / (r - s)
+    coeff = s / r
+
+    def fn(x, y):
+        hi = np.maximum(x, y)
+        lo = np.minimum(x, y)
+        d = hi - lo
+        near = d <= im.NEAR_DIAGONAL_RTOL * hi
+        m = 0.5 * (hi + lo)
+        u = d / (2.0 * m)
+        series = m * (1.0 + (r + s - 3.0) * (u * u) / 6.0)
+        w = _earlier_gap_log(hi, lo, d)
+        core = coeff * np.expm1(-r * w) / np.where(near, 1.0, np.expm1(-s * w))
+        return np.where(near, series, hi * _earlier_pow(np.where(near, 1.0, core), q))
+
+    return fn
+
+
+def _earlier_power(p):
+    def fn(x, y):
+        b = np.maximum(x, y) if p > 0 else np.minimum(x, y)
+        rx = _earlier_pow(x / b, p)
+        ry = _earlier_pow(y / b, p)
+        return b * _earlier_pow(0.5 * (rx + ry), 1.0 / p)
+
+    return fn
+
+
+def _gap_log_of(gap_log):
+    def fn(x, y):
+        hi, lo = np.maximum(x, y), np.minimum(x, y)
+        return gap_log(hi, lo, hi - lo)
+
+    return fn
+
+
+def _earlier_formulas():
+    """(current evaluator, earlier formula) by name."""
+    out = {"gap_log": (_gap_log_of(means._gap_log), _gap_log_of(_earlier_gap_log)),
+           "logarithmic": (L.fn, _earlier_logmean)}
+    for r, s in ((3.0, 1.0), (-2.0, 1.0), (0.5, -0.5), (-3.0, -1.0), (2.0, -1.0)):
+        out[f"stolarsky:{r!r}:{s!r}"] = (im.stolarsky(r, s).fn, _earlier_stolarsky(r, s))
+    for p in (-3.0, -0.5, 0.5, 2.0, 7.0):
+        out[f"power:{p!r}"] = (im.power_mean(p).fn, _earlier_power(p))
+    return out
+
+
+EARLIER = _earlier_formulas()
+
+
+@pytest.mark.parametrize("inputs", INPUTS)
+@pytest.mark.parametrize("name", EARLIER)
+def test_patched_output_equals_the_earlier_formula(name, inputs):
+    fn, earlier = EARLIER[name]
+    x, y = INPUTS[inputs]
+    # a RuntimeWarning is an error here: guarded lanes, the exact
+    # diagonal included, raise none
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = fn(x, y)
+    with np.errstate(all="ignore"):
+        want = earlier(x, y)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["logarithmic", "stolarsky:3.0:1.0", "power:-0.5"])
+def test_non_finite_and_zero_lanes_equal_the_earlier_formula(name):
+    # lanes a pair kernel can hand to a target mean after an overflow or
+    # an underflow: inf, 0 and nan arguments
+    fn, earlier = EARLIER[name]
+    v = np.array([np.inf, 0.0, np.nan, 5.0])
+    x, y = np.repeat(v, v.size), np.tile(v, v.size)
+    with np.errstate(all="ignore"):
+        assert np.array_equal(fn(x, y), earlier(x, y), equal_nan=True)
+
+
+class TestPatch:
+    def test_only_the_masked_lanes_are_evaluated_and_replaced(self):
+        seen = []
+
+        def fn(a, b):
+            seen.append((a.copy(), b.copy()))
+            return a + b
+
+        a = np.arange(12.0).reshape(3, 4)
+        b = 10.0 * a
+        mask = a % 5 == 0
+        out = means._patch(a * 0.0, mask, fn, a, b)
+        assert np.array_equal(seen[0][0], a[mask]) and np.array_equal(seen[0][1], b[mask])
+        assert np.array_equal(out, np.where(mask, a + b, 0.0))
+
+    def test_an_empty_mask_calls_nothing(self):
+        out = np.ones(5)
+        assert means._patch(out, np.zeros(5, bool), pytest.fail) is out
+
+    @pytest.mark.parametrize("mask", [True, False, np.bool_(True), np.bool_(False)])
+    def test_a_scalar_is_replaced_whole(self, mask):
+        got = means._patch(2.0, mask, lambda a: a + 1.0, 5.0)
+        assert got == (6.0 if mask else 2.0)
 
 
 class TestBlockwise:

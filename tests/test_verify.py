@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import invmeans as im
-from invmeans.verify import _pair_samples
+from invmeans.verify import _dominating, _log_uniform, _pair_samples, _scale_factors
 
 A = im.classical("arithmetic")
 H = im.classical("harmonic")
@@ -93,6 +93,93 @@ class TestDeterminism:
     def test_invariance_report_identical_across_runs(self):
         pair = im.general_pair(A, A, H, 0.5)
         assert im.check_invariance(pair, CFG) == im.check_invariance(pair, CFG)
+
+
+def _concatenated_samples(cfg):
+    """The sample set built from parts and concatenated, as it was first written."""
+    lo, hi = cfg.domain
+    n = cfg.points_per_axis
+    axis = np.geomspace(lo, hi, n)
+    gx, gy = np.meshgrid(axis, axis)
+    parts_x, parts_y = [gx.ravel()], [gy.ravel()]
+    center = math.sqrt(lo * hi)
+    probes = []
+    for k in range(1, 13):
+        ratio = 10.0 ** k
+        if ratio > hi / lo:
+            break
+        probes.extend([(center * math.sqrt(ratio), center / math.sqrt(ratio)),
+                       (center / math.sqrt(ratio), center * math.sqrt(ratio))])
+    if probes:
+        px, py = zip(*probes)
+        parts_x.append(np.asarray(px, dtype=float))
+        parts_y.append(np.asarray(py, dtype=float))
+    rng = np.random.default_rng(cfg.seed)
+    m = 10 * n * n
+    llo, lhi = math.log(lo), math.log(hi)
+    parts_x.append(np.exp(rng.uniform(llo, lhi, m)))
+    parts_y.append(np.exp(rng.uniform(llo, lhi, m)))
+    return np.concatenate(parts_x), np.concatenate(parts_y)
+
+
+# 192 points per axis: 405,528 lanes, 50 blocks
+N192 = im.ScanConfig(points_per_axis=192, seed=3)
+
+ODD_DOMAINS = [
+    (0.00038904809442673744, 38.904809442673745),  # the 10^5 probe rounds past hi
+    (1e-300, 1e300),
+    (0.1, 0.3),
+    (3.3e-7, 7.7e5),
+    (2.2e-308, 1.7e308),
+]
+
+
+class TestSampling:
+    @pytest.mark.parametrize("cfg", [
+        im.DEFAULT_CONFIG, N192, CFG,
+        im.ScanConfig(domain=(1e-3, 1e3), points_per_axis=9, seed=11),
+        im.ScanConfig(domain=(0.5, 2.0), points_per_axis=40, seed=5),
+    ])
+    def test_in_place_fill_equals_the_concatenated_parts(self, cfg):
+        x, y = _pair_samples(cfg)
+        want_x, want_y = _concatenated_samples(cfg)
+        assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
+        assert not x.flags.writeable and not y.flags.writeable
+
+    @pytest.mark.parametrize("domain", ODD_DOMAINS)
+    def test_every_sample_lies_in_the_domain(self, domain):
+        cfg = im.ScanConfig(domain=domain, points_per_axis=8)
+        lo, hi = cfg.domain
+        for v in _pair_samples(cfg):
+            assert lo <= v.min() and v.max() <= hi
+
+    def test_a_probe_past_the_domain_end_does_not_break_the_flag_scan(self):
+        cfg = im.ScanConfig(domain=ODD_DOMAINS[0], points_per_axis=8)
+        report = im.check_flags(im.classical("power:2"), cfg)
+        assert report.passed and report.samples_checked > 0
+
+    def test_affine_draws_equal_generator_uniform(self):
+        x, _ = _pair_samples(N192)
+        assert x.size == 405528
+        llo, lhi = math.log(1e-6), math.log(1e6)
+        got = _log_uniform(np.random.default_rng(9), llo, lhi, np.empty(x.size))
+        assert np.array_equal(got, np.exp(np.random.default_rng(9).uniform(llo, lhi, x.size)))
+        low = np.log(x)
+        got = _log_uniform(np.random.default_rng(9), low, lhi, np.empty(x.size))
+        assert np.array_equal(got, np.exp(np.random.default_rng(9).uniform(low, lhi)))
+
+    def test_block_draws_equal_generator_uniform(self):
+        x, y = _pair_samples(N192)
+        lhi = math.log(N192.domain[1])
+        rng = np.random.default_rng(N192.seed + 1)
+        lam = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), x.size))
+        lam[:4] = (1e-3, 1.0, 7.5, 1e3)
+        assert np.array_equal(np.concatenate([c for c, in _scale_factors(N192, x, y)]), lam)
+        rng = np.random.default_rng(N192.seed + 2)
+        x2 = np.exp(rng.uniform(np.log(x), lhi))
+        y2 = np.exp(rng.uniform(np.log(y), lhi))
+        got_x2, got_y2 = (np.concatenate(c) for c in zip(*_dominating(N192, x, y)))
+        assert np.array_equal(got_x2, x2) and np.array_equal(got_y2, y2)
 
 
 class TestWitnessSoundness:
