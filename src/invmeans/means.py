@@ -268,10 +268,12 @@ def _power_fn(p: float):
 
     def fn(x, y):
         # factor out b = max(x, y) (min for p < 0) so the power stays in
-        # (0, 1].  The term of b itself, (b/b)**p, is b/b: exactly 1.0,
-        # and nan where b is 0 or inf, so it costs no power
+        # (0, 1].  The term of b itself, (b/b)**p, is b/b: exactly 1.0 on
+        # finite nonzero b, so it costs no power.  Where b is 0 or inf the
+        # factored form is nan and the mean's limit is b itself
         b = big(x, y)
-        return b * _pow(0.5 * (b / b + _pow(other(x, y) / b, p)), 1.0 / p)
+        out = b * _pow(0.5 * (b / b + _pow(other(x, y) / b, p)), 1.0 / p)
+        return _patch(out, (b == 0.0) | (b == np.inf), lambda b: b, b)
 
     return _blockwise(fn)
 

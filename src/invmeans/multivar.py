@@ -21,7 +21,8 @@ import numpy as np
 from .complement import _kernel
 from .errors import DomainError, ParameterError
 from .means import _positive_finite, _pow
-from .verify import DEFAULT_CONFIG, ScanConfig, ScanReport, _blocks, _scan
+from .verify import (DEFAULT_CONFIG, ScanConfig, ScanReport, _blocks,
+                     _log_uniform, _scan)
 
 __all__ = [
     "NaryMean",
@@ -201,7 +202,7 @@ def check_nary_meanness(F: NaryMean, cfg: ScanConfig | None = None) -> ScanRepor
     ray = np.ones((F.n, m))
     ray[1:, :] = np.geomspace(lo, hi, m)
     rng = np.random.default_rng(cfg.seed)
-    rand = np.exp(rng.uniform(np.log(lo), np.log(hi), (F.n, 10 * m)))
+    rand = _log_uniform(rng, np.log(lo), np.log(hi), np.empty((F.n, 10 * m)))
     xs = np.concatenate([ray, rand], axis=1)
 
     def measure(*rows):

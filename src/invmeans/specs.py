@@ -14,6 +14,8 @@ Grammar (colon-separated, recursive operands parenthesized)::
             | min | max | proj1 | proj2
     cone   := full | empty | lower | upper | mixed
 
+The headed productions are the ``_HEADS`` table, row for row: each head
+maps to the readers of its arguments and the constructor they feed.
 "pair:..." produces a MeanPair, everything else a Mean.  Parse errors
 carry the character position of the offending token; range violations
 from the underlying constructors (e.g. stolarsky:1:1) surface verbatim.
@@ -25,51 +27,37 @@ import math
 from .complement import MeanPair, general_base, general_pair, self_complement_base
 from .errors import InvalidMeanSpec
 from .means import CLASSICAL_NAMES, Mean, classical, power_mean, stolarsky
-from .projective import BUILTIN_CONE_NAMES, builtin_cone, projective_mean
+from .projective import BUILTIN_CONE_NAMES, ConeSet, builtin_cone, projective_mean
 
 __all__ = ["parse_mean_spec", "parse_mean", "parse_pair"]
 
 
-def _is_single_group(s: str) -> bool:
-    if not (s.startswith("(") and s.endswith(")")):
-        return False
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return i == len(s) - 1
-    return False
+def _split(s: str, offset: int) -> list[tuple[str, int]]:
+    """Strip the parentheses enclosing ``s``, split it on top-level colons.
 
-
-def _strip_parens(s: str, offset: int) -> tuple[str, int]:
-    while _is_single_group(s):
-        s = s[1:-1]
-        offset += 1
-    return s, offset
-
-
-def _split_top(s: str, offset: int) -> list[tuple[str, int]]:
-    """Split on colons outside parentheses, keeping absolute offsets."""
-    parts: list[tuple[str, int]] = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise InvalidMeanSpec("unbalanced ')'", offset + i)
-        elif ch == ":" and depth == 0:
-            parts.append((s[start:i], offset + start))
-            start = i + 1
-    if depth != 0:
-        raise InvalidMeanSpec("unbalanced '('", offset + s.index("("))
-    parts.append((s[start:], offset + start))
-    return parts
+    ``s`` is stripped while its first "(" closes at its last character.
+    Each part keeps its absolute offset.  An unbalanced ")" raises where
+    the walk reaches it, an unbalanced "(" at the first "(" of ``s``.
+    """
+    while True:
+        parts, depth, start, first_close = [], 0, 0, None
+        for i, ch in enumerate(s):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth < 0:
+                    raise InvalidMeanSpec("unbalanced ')'", offset + i)
+                if depth == 0 and first_close is None:
+                    first_close = i
+            elif ch == ":" and depth == 0:
+                parts.append((s[start:i], offset + start))
+                start = i + 1
+        if depth:
+            raise InvalidMeanSpec("unbalanced '('", offset + s.index("("))
+        if not (s.startswith("(") and first_close == len(s) - 1):
+            return parts + [(s[start:], offset + start)]
+        s, offset = s[1:-1], offset + 1
 
 
 def _number(token: str, pos: int) -> float:
@@ -82,58 +70,48 @@ def _number(token: str, pos: int) -> float:
     return value
 
 
-def _expect_arity(head: str, rest: list, count: int, pos: int) -> None:
-    if len(rest) != count:
-        plural = "argument" if count == 1 else "arguments"
-        raise InvalidMeanSpec(
-            f"{head!r} expects {count} {plural}, got {len(rest)}", pos
-        )
-
-
-def _parse_mean_arg(token: str, pos: int) -> Mean:
+def _mean(token: str, pos: int) -> Mean:
     result = _parse(token, pos)
     if isinstance(result, MeanPair):
         raise InvalidMeanSpec("a pair expression cannot be used as a mean", pos)
     return result
 
 
+def _cone(token: str, pos: int) -> ConeSet:
+    if token not in BUILTIN_CONE_NAMES:
+        raise InvalidMeanSpec(f"unknown cone name {token!r}", pos)
+    return builtin_cone(token)
+
+
+# head -> (argument readers, constructor)
+_HEADS = {
+    "power": ((_number,), power_mean),
+    "stolarsky": ((_number, _number), stolarsky),
+    "proj": ((_cone,), projective_mean),
+    "mt": ((_mean, _number), self_complement_base),
+    "nt": ((_mean, _mean, _mean, _number), general_base),
+    "pair": ((_mean, _mean, _mean, _number), general_pair),
+}
+
+
 def _parse(s: str, offset: int) -> Mean | MeanPair:
-    s, offset = _strip_parens(s, offset)
-    if not s:
-        raise InvalidMeanSpec("empty mean specification", offset)
-    parts = _split_top(s, offset)
-    head, head_pos = parts[0]
-    rest = parts[1:]
-    if not rest:
+    (head, pos), *args = _split(s, offset)
+    if not args:
+        if not head:
+            raise InvalidMeanSpec("empty mean specification", pos)
         if head in CLASSICAL_NAMES:
             return classical(head)
-        raise InvalidMeanSpec(f"unknown mean identifier {head!r}", head_pos)
-    if head == "power":
-        _expect_arity(head, rest, 1, head_pos)
-        return power_mean(_number(*rest[0]))
-    if head == "stolarsky":
-        _expect_arity(head, rest, 2, head_pos)
-        return stolarsky(_number(*rest[0]), _number(*rest[1]))
-    if head == "proj":
-        _expect_arity(head, rest, 1, head_pos)
-        cone_name, cone_pos = rest[0]
-        if cone_name not in BUILTIN_CONE_NAMES:
-            raise InvalidMeanSpec(f"unknown cone name {cone_name!r}", cone_pos)
-        return projective_mean(builtin_cone(cone_name))
-    if head == "mt":
-        _expect_arity(head, rest, 2, head_pos)
-        base = _parse_mean_arg(*rest[0])
-        return self_complement_base(base, _number(*rest[1]))
-    if head in ("nt", "pair"):
-        _expect_arity(head, rest, 4, head_pos)
-        m = _parse_mean_arg(*rest[0])
-        c = _parse_mean_arg(*rest[1])
-        d = _parse_mean_arg(*rest[2])
-        t = _number(*rest[3])
-        if head == "nt":
-            return general_base(m, c, d, t)
-        return general_pair(m, c, d, t)
-    raise InvalidMeanSpec(f"unknown constructor {head!r}", head_pos)
+        raise InvalidMeanSpec(f"unknown mean identifier {head!r}", pos)
+    if head not in _HEADS:
+        raise InvalidMeanSpec(f"unknown constructor {head!r}", pos)
+    readers, build = _HEADS[head]
+    if len(args) != len(readers):
+        plural = "argument" if len(readers) == 1 else "arguments"
+        raise InvalidMeanSpec(
+            f"{head!r} expects {len(readers)} {plural}, got {len(args)}", pos
+        )
+    # read left to right, so the first bad argument raises first
+    return build(*(read(*arg) for read, arg in zip(readers, args)))
 
 
 def parse_mean_spec(s: str) -> Mean | MeanPair:

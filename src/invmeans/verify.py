@@ -371,13 +371,15 @@ def _scale_factors(cfg, x, y):
 
 def _dominating(cfg, x, y):
     # (x2, y2) log-uniform on [x, hi] x [y, hi]: x2 draws the stream of
-    # seed + 2 from its start, y2 continues it after all of x2's draws
+    # seed + 2 from its start, y2 continues it after all of x2's draws.
+    # exp(log x) can round below x, so each draw is clamped onto [x, hi]
     lhi = math.log(cfg.domain[1])
     rng_x = np.random.default_rng(cfg.seed + 2)
     rng_y = np.random.Generator(np.random.PCG64(cfg.seed + 2).advance(np.size(x)))
     for x, y in _blocks(x, y):
-        yield (_log_uniform(rng_x, np.log(x), lhi, np.empty(x.size)),
-               _log_uniform(rng_y, np.log(y), lhi, np.empty(y.size)))
+        x2 = _log_uniform(rng_x, np.log(x), lhi, np.empty(x.size))
+        y2 = _log_uniform(rng_y, np.log(y), lhi, np.empty(y.size))
+        yield np.maximum(x2, x, out=x2), np.maximum(y2, y, out=y2)
 
 
 def _symmetric(x, y, v, v2):
@@ -401,11 +403,11 @@ def _strict(tol, x, y, v):
     # each side by its own envelope endpoint (a mean may legitimately hug
     # min or max at extreme ratios without touching it)
     keep = np.abs(np.log(x / y)) >= 0.1
-    v = v[keep]
-    mn = np.minimum(x, y)[keep]
-    mx = np.maximum(x, y)[keep]
+    x, y, v = x[keep], y[keep], v[keep]
+    mn = np.minimum(x, y)
+    mx = np.maximum(x, y)
     margin = np.minimum((v - mn) / mn, (mx - v) / mx)
-    return 2.0 * tol - margin, (x[keep], y[keep], v)
+    return 2.0 * tol - margin, (x, y, v)
 
 
 def _flag_scans(tol):

@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import invmeans as im
 from invmeans import means
@@ -218,12 +219,46 @@ def test_patched_output_equals_the_earlier_formula(name, inputs):
 @pytest.mark.parametrize("name", ["logarithmic", "stolarsky:3.0:1.0", "power:-0.5"])
 def test_non_finite_and_zero_lanes_equal_the_earlier_formula(name):
     # lanes a pair kernel can hand to a target mean after an overflow or
-    # an underflow: inf, 0 and nan arguments
+    # an underflow: inf, 0 and nan arguments.  Where the power mean's
+    # factored argument b (the min, for p < 0) is 0 or inf, the earlier
+    # formula is nan and the mean is its limit b
     fn, earlier = EARLIER[name]
     v = np.array([np.inf, 0.0, np.nan, 5.0])
     x, y = np.repeat(v, v.size), np.tile(v, v.size)
     with np.errstate(all="ignore"):
-        assert np.array_equal(fn(x, y), earlier(x, y), equal_nan=True)
+        want = earlier(x, y)
+        if name.startswith("power:"):
+            b = np.minimum(x, y)
+            limit = (b == 0.0) | (b == np.inf)
+            assert np.isnan(want[limit]).all()
+            want[limit] = b[limit]
+        assert np.array_equal(fn(x, y), want, equal_nan=True)
+
+
+@pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 2.0])
+def test_power_mean_takes_its_limits_at_zero_and_infinity(p):
+    # b is max(x, y) for p > 0 and min(x, y) for p < 0.  When the other
+    # argument is 0 (p > 0) or inf (p < 0) its term vanishes and the mean
+    # is b / 2**(1/p); when b itself is inf (p > 0) or 0 (p < 0) the mean
+    # is b.  nan arguments stay nan
+    v = (0.0, 5.0, np.inf, np.nan)
+    F = im.power_mean(p)
+    vanishing = 0.0 if p > 0 else np.inf
+    for x in v:
+        for y in v:
+            with np.errstate(all="ignore"):
+                got = F.fn(x, y)
+                lanes = F.fn(np.array([x, x]), np.array([y, y]))
+            b, other = (max(x, y), min(x, y)) if p > 0 else (min(x, y), max(x, y))
+            if np.isnan(x) or np.isnan(y):
+                want = np.nan
+            elif x != y and other == vanishing:
+                want = b * 0.5 ** (1.0 / p)
+            else:
+                want = b
+            # 0, inf and nan exactly, a finite limit to rounding
+            assert_allclose(got, want, rtol=1e-15, err_msg=f"{(x, y)}")
+            assert_allclose(lanes, [want, want], rtol=1e-15, err_msg=f"{(x, y)}")
 
 
 class TestPatch:

@@ -1,5 +1,6 @@
 """n-ary constructions: invariance survives, mean-ness escapes for n >= 3."""
 
+import math
 import sys
 
 import numpy as np
@@ -261,3 +262,29 @@ class TestNaryMeannessScan:
                                         im.ScanConfig(points_per_axis=16))
         assert not report.passed
         assert report.detail.startswith("evaluation failed")
+
+
+@pytest.mark.parametrize("seed, n, m, domain", [
+    (0, 3, 4096, (1e-6, 1e6)),
+    (7, 5, 9216, (1e-3, 1e3)),
+    (11, 2, 100, (0.5, 2.0)),
+])
+def test_nary_scan_samples_the_ray_and_the_earlier_draws(seed, n, m, domain):
+    # the scan evaluates the ray (1, x, ..., x) and then 10*m log-uniform
+    # vectors drawn as exp(Generator.uniform(log lo, log hi, (n, 10*m)))
+    cfg = im.ScanConfig(domain=domain, points_per_axis=math.isqrt(m), seed=seed)
+    assert cfg.points_per_axis ** 2 == m
+    seen = []
+
+    def recording(xs):
+        seen.append(xs.copy())
+        return np.mean(xs, axis=0)
+
+    report = im.check_nary_meanness(im.NaryMean(recording, n, "recording"), cfg)
+    assert report.passed
+    lo, hi = domain
+    ray = np.ones((n, m))
+    ray[1:, :] = np.geomspace(lo, hi, m)
+    rng = np.random.default_rng(seed)
+    rand = np.exp(rng.uniform(np.log(lo), np.log(hi), (n, 10 * m)))
+    assert np.array_equal(np.concatenate(seen, axis=1), np.concatenate([ray, rand], axis=1))

@@ -1,10 +1,13 @@
 """Textual mean expressions: grammar coverage and round-trip fidelity."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import invmeans as im
+from invmeans import specs
 
 
 def random_pairs(n=100, seed=42):
@@ -176,6 +179,42 @@ class TestParseErrors:
             im.parse_mean_spec("stolarsky:1:1")
         with pytest.raises(im.ParameterError, match="0 < t < 1"):
             im.parse_mean_spec("nt:arithmetic:min:max:1.5")
+
+
+class TestPrecedence:
+    # which error wins, and where, when a spec is wrong in several ways
+    CASES = (
+        ("(a))", "unbalanced ')'", 3),
+        ("mt:((power:2):0.5", "unbalanced '('", 3),
+        ("(arithmetic)(x)", "unknown mean identifier '(arithmetic)(x)'", 0),
+        ("()", "empty mean specification", 1),
+        (":2", "unknown constructor ''", 0),
+        ("foo:x:y", "unknown constructor 'foo'", 0),
+        ("power:x:y", "'power' expects 1 argument, got 2", 0),
+        ("stolarsky:1", "'stolarsky' expects 2 arguments, got 1", 0),
+        ("nt:foo:bar:baz:x", "unknown mean identifier 'foo'", 3),
+        ("mt:(pair:arithmetic:min:max:0.5):x", "a pair expression cannot be used as a mean", 3),
+        ("proj:(lower)", "unknown cone name '(lower)'", 5),
+    )
+
+    @pytest.mark.parametrize("text, message, position", CASES)
+    def test_first_error_and_its_position(self, text, message, position):
+        with pytest.raises(im.InvalidMeanSpec) as info:
+            im.parse_mean_spec(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
+    def test_only_whole_groups_are_stripped(self):
+        assert im.parse_mean_spec("((mt:((geometric)):0.5))").spec == "mt:geometric:0.5"
+
+
+def test_docstring_grammar_is_the_head_table():
+    # each headed production of the module docstring is one _HEADS row
+    readers = {"num": specs._number, "mean": specs._mean, "cone": specs._cone}
+    rows = {}
+    for head, args in re.findall(r'\| "(\w+):" (.*)', specs.__doc__):
+        rows[head] = tuple(readers[a] for a in args.split() if a != '":"')
+    assert rows == {head: row for head, (row, _) in specs._HEADS.items()}
 
 
 class TestStrictParsers:

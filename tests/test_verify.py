@@ -8,7 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import invmeans as im
-from invmeans.verify import _dominating, _log_uniform, _pair_samples, _scale_factors
+from invmeans.verify import (_dominating, _log_uniform, _pair_samples, _scale_factors,
+                             _strict)
 
 A = im.classical("arithmetic")
 H = im.classical("harmonic")
@@ -176,10 +177,22 @@ class TestSampling:
         lam[:4] = (1e-3, 1.0, 7.5, 1e3)
         assert np.array_equal(np.concatenate([c for c, in _scale_factors(N192, x, y)]), lam)
         rng = np.random.default_rng(N192.seed + 2)
-        x2 = np.exp(rng.uniform(np.log(x), lhi))
-        y2 = np.exp(rng.uniform(np.log(y), lhi))
+        # the dominating draws are clamped onto [x, hi] and [y, hi]
+        x2 = np.maximum(np.exp(rng.uniform(np.log(x), lhi)), x)
+        y2 = np.maximum(np.exp(rng.uniform(np.log(y), lhi)), y)
         got_x2, got_y2 = (np.concatenate(c) for c in zip(*_dominating(N192, x, y)))
         assert np.array_equal(got_x2, x2) and np.array_equal(got_y2, y2)
+
+    @pytest.mark.parametrize("cfg", [
+        im.DEFAULT_CONFIG, N192, im.ScanConfig(domain=ODD_DOMAINS[0], points_per_axis=8),
+    ])
+    def test_dominating_draws_dominate(self, cfg):
+        # exp(log x) rounds below x on some lanes (x = hi among them); the
+        # monotone scan must still compare F(x, y) with a dominating pair
+        x, y = _pair_samples(cfg)
+        x2, y2 = (np.concatenate(c) for c in zip(*_dominating(cfg, x, y)))
+        assert (x2 >= x).all() and (y2 >= y).all()
+        assert x2.max() <= cfg.domain[1] and y2.max() <= cfg.domain[1]
 
 
 class TestWitnessSoundness:
@@ -323,6 +336,27 @@ class TestFlagScans:
         assert report.passed
         assert calls == [x.size]
         assert report.samples_checked == kept
+
+
+def _earlier_strict(tol, x, y, v):
+    """The strict scan's violations as first written: five gathered columns."""
+    keep = np.abs(np.log(x / y)) >= 0.1
+    v = v[keep]
+    mn = np.minimum(x, y)[keep]
+    mx = np.maximum(x, y)[keep]
+    margin = np.minimum((v - mn) / mn, (mx - v) / mx)
+    return 2.0 * tol - margin, (x[keep], y[keep], v)
+
+
+@pytest.mark.parametrize("cfg", [im.DEFAULT_CONFIG, N192])
+@pytest.mark.parametrize("name", ["arithmetic", "logarithmic", "min"])
+def test_strict_violations_equal_the_earlier_formula(cfg, name):
+    x, y = _pair_samples(cfg)
+    v = im.classical(name).fn(x, y)
+    got, got_cols = _strict(cfg.rel_tol, x, y, v)
+    want, want_cols = _earlier_strict(cfg.rel_tol, x, y, v)
+    assert np.array_equal(got, want)
+    assert all(np.array_equal(g, w) for g, w in zip(got_cols, want_cols, strict=True))
 
 
 class TestFailureReporting:

@@ -11,14 +11,19 @@ sweep    the 6,482 sweep reports (every row of the sweep table, in table
 bigscan  the three bigscan checks at points_per_axis=192, seeds 1-3
 iterate  2,000 iterate_pair traces and their trajectory reports, seed 7
 cli      the benchmark's CLI cases for seed 1: exit code and stdout
+specs    40,000 generated mean expressions, seed 1, most of them malformed:
+         each parse's result type, spec and label, or its exception
+         class, message and position
 
 A report enters a digest as passed, worst violation, samples checked,
 witness and detail.  Running this against two source trees and diffing
-the output shows whether a change moved any report.
+the output shows whether a change moved any report, and through the
+specs family whether it changed how any expression parses.
 """
 from __future__ import annotations
 
 import hashlib
+import random
 import struct
 import subprocess
 import sys
@@ -83,7 +88,80 @@ def cli(h) -> int:
     return len(cases)
 
 
-FAMILIES = {f.__name__: f for f in (sweep, bigscan, iterate, cli)}
+# the pieces of generated expressions: every head of the grammar with its
+# argument kinds (n number, c cone, m mean) and, for each kind, the pieces
+# that fit it and some that do not; "arithmetic" and "foo" are not heads
+SPEC_HEADS = {"power": "n", "stolarsky": "nn", "proj": "c", "mt": "mn",
+              "nt": "mmmn", "pair": "mmmn", "arithmetic": "n", "foo": "m"}
+SPEC_PIECES = {
+    "n": (("0.5", "0.25", "0.9", "2", "3", "1.5", "-0.5"),
+          ("0", "1", "-1", "1e-300", "1e309", "inf", "-inf", "nan", "x", "",
+           " 2")),
+    "c": (im.BUILTIN_CONE_NAMES, ("arithmetic", "foo", "")),
+    "m": (im.CLASSICAL_NAMES, (*im.BUILTIN_CONE_NAMES, "power", "foo", "")),
+}
+
+
+def _spec_expr(rng, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(SPEC_PIECES["m"][rng.random() < 0.2])
+    head = rng.choice(tuple(SPEC_HEADS))
+    kinds = SPEC_HEADS[head]
+    if rng.random() < 0.1:  # a wrong argument count
+        kinds = kinds[:-1] if rng.random() < 0.5 else kinds + "n"
+    args = [head]
+    for kind in kinds:
+        if kind == "m" and rng.random() < 0.4:
+            arg = _spec_expr(rng, depth - 1)
+            arg = f"({arg})" if ":" in arg or rng.random() < 0.1 else arg
+        else:
+            arg = rng.choice(SPEC_PIECES[kind][rng.random() < 0.2])
+        args.append(arg)
+    return ":".join(args)
+
+
+def _spec_mutate(rng, s: str) -> str:
+    i = rng.randrange(len(s) + 1)
+    edit = rng.randrange(4)
+    if edit == 0:  # a stray parenthesis or colon
+        return s[:i] + rng.choice("():") + s[i:]
+    if edit == 1:  # a lost character
+        return s[:i] + s[i + 1:]
+    if edit == 2:  # a group around all of it
+        return f"({s})"
+    return s[:i] + "(" + s[i:] + ")"
+
+
+def _spec_cases(seed: int, count: int) -> list[str]:
+    """``count`` expressions from the grammar's pieces, half of them mutated."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        s = _spec_expr(rng, 3)
+        while rng.random() < 0.5:
+            s = _spec_mutate(rng, s)
+        cases.append(s)
+    return cases
+
+
+def _spec_outcome(s: str) -> str:
+    try:
+        r = im.parse_mean_spec(s)
+    except Exception as e:  # noqa: BLE001 - any raise is an outcome
+        return f"{type(e).__name__}|{e}|{getattr(e, 'position', None)}"
+    labels = (r.K.label, r.L.label, r.target.label, r.t) if isinstance(
+        r, im.MeanPair) else r.label
+    return f"{type(r).__name__}|{r.spec}|{labels!r}"
+
+
+def specs(h) -> int:
+    cases = _spec_cases(1, 40_000)
+    for s in cases:
+        h.update(f"{s}\0{_spec_outcome(s)}\0".encode())
+    return len(cases)
+
+
+FAMILIES = {f.__name__: f for f in (sweep, bigscan, iterate, cli, specs)}
 
 
 def main() -> None:
