@@ -104,28 +104,24 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# --what -> (check, the option naming its subject, that option's parser)
 _CHECKS = {
-    "mean": check_meanness,
-    "trace": check_trace_meanness,
-    "monotone": check_monotone_trace,
-    "flags": check_flags,
+    "mean": (check_meanness, "mean", parse_mean),
+    "trace": (check_trace_meanness, "mean", parse_mean),
+    "monotone": (check_monotone_trace, "mean", parse_mean),
+    "invariance": (check_invariance, "pair", parse_pair),
+    "flags": (check_flags, "mean", parse_mean),
 }
 
 
 def _cmd_check(args) -> int:
     cfg = _scan_config(args)
-    if args.what == "invariance":
-        if not args.pair:
-            print("error: --what invariance requires --pair", file=sys.stderr)
-            return 2
-        subject = args.pair
-        report = check_invariance(parse_pair(subject), cfg)
-    else:
-        if not args.mean:
-            print(f"error: --what {args.what} requires --mean", file=sys.stderr)
-            return 2
-        subject = args.mean
-        report = _CHECKS[args.what](parse_mean(subject), cfg)
+    check, arg, parse = _CHECKS[args.what]
+    subject = getattr(args, arg)
+    if not subject:
+        print(f"error: --what {args.what} requires --{arg}", file=sys.stderr)
+        return 2
+    report = check(parse(subject), cfg)
     if args.json:
         payload = {"check": args.what, "subject": subject}
         payload.update(report.to_dict())
@@ -247,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[scan],
                        help="run a verification scan")
     p.add_argument("--what", required=True,
-                   choices=["mean", "trace", "monotone", "invariance", "flags"])
+                   choices=list(_CHECKS))
     p.add_argument("--mean", help="mean expression (all checks except invariance)")
     p.add_argument("--pair", help="pair expression (invariance check)")
     p.set_defaults(handler=_cmd_check)

@@ -292,7 +292,9 @@ class RealMean:
     """Mean on the whole real line; no positivity constraint on arguments.
 
     ``translative`` claims N(x + c, y + c) = N(x, y) + c; like every flag
-    it is a declaration, testable by sampling.
+    it is a declaration, testable by sampling.  Calling it validates its
+    arguments as ``Mean`` does: +-inf and nan raise ``DomainError``.  The
+    raw evaluator ``fn`` does not check.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -305,6 +307,8 @@ class RealMean:
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise DomainError(f"{self.label}: arguments must be finite reals")
         out = self.fn(x, y)
         if np.ndim(out) == 0:
             return float(out)

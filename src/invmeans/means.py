@@ -14,15 +14,23 @@ temporaries in the core's L2 cache instead of streaming one scan-sized
 array per temporary, and the output is bit-identical to a single pass.
 The short arithmetic, geometric and harmonic formulas run whole.
 
-Each lane computes one branch.  The quotient-form evaluators run their
-main formula on every lane and then patch the exceptional lanes
-(``_patch``): the near-diagonal series of the logarithmic and Stolarsky
-means and the log1p form of a narrow gap (``_gap_log``) run on those
-lanes only, gathered out and scattered back, instead of on every lane
-for an ``np.where`` to throw away.  Scans sample log-uniform pairs, so
-those lanes are rare.  The power mean takes one power per lane: the
-term of the argument it factors out is exactly 1.  Both give the same
-bits as computing every branch and selecting one.
+Each lane computes one branch.  Every evaluator with an exceptional
+branch runs its main formula on every lane and then patches the
+exceptional lanes (``_patch``): the near-diagonal series of the
+logarithmic and Stolarsky means, the log1p form of a narrow gap
+(``_gap_log``), the limits of the power mean at 0 and inf, the halved
+sum of the arithmetic mean where the sum overflows and the
+tiny-argument form of the harmonic mean where it underflows (and, in
+``multivar``, the scaled form of the n-ary arithmetic mean) run on
+those lanes only, gathered out and scattered back, instead of on every
+lane for an ``np.where`` to throw away.  Scans sample log-uniform
+pairs, so those lanes are rare.  A scalar call takes the same path:
+``_patch`` replaces a 0-d result whole.  The power mean takes one power
+per lane: the term of the argument it factors out is exactly 1.  Both
+give the same bits as computing every branch and selecting one.
+
+The catalog (``_catalog``) is homogeneous and monotone, and each of its
+means is labelled by its spec.
 """
 from __future__ import annotations
 
@@ -159,18 +167,23 @@ def _pow(x, t: float):
 def _patch(out, mask, fn, *cols):
     """``out`` with the lanes of ``mask`` replaced by ``fn(*cols)``.
 
-    ``fn`` runs on the masked lanes only: the lanes of ``mask`` are
-    gathered from each column (all of ``mask``'s shape), passed to
-    ``fn`` and scattered into ``out`` in place, so an exceptional branch
-    costs nothing when no lane takes it.  ``fn`` must be elementwise; its
-    results are the same bits as on the whole columns.  A 0-d or scalar
-    ``out`` (a validated scalar call) is returned or replaced whole.
+    ``fn`` runs on the masked lanes only: the lanes of ``mask`` (which
+    has ``out``'s shape) are gathered from each column, passed to ``fn``
+    and scattered into ``out`` in place, so an exceptional branch costs
+    nothing when no lane takes it.  A column of another shape, such as a
+    scalar or one side of an outer product, is broadcast to ``out``'s
+    shape before it is gathered.  ``fn`` must be elementwise; its results
+    are the same bits as on the whole columns.  A 0-d or scalar ``out``
+    (a scalar call) is returned or replaced whole.
     """
-    if np.ndim(out) == 0:
+    if getattr(out, "ndim", 0) == 0:  # np.ndim costs ten times as much
         return fn(*cols) if mask else out
     if mask.any():
         lanes = np.nonzero(mask)
-        out[lanes] = fn(*(c[lanes] for c in cols))
+        # the shape test keeps the common same-shape columns off the
+        # slower broadcast_to path
+        out[lanes] = fn(*(c[lanes] if getattr(c, "shape", None) == out.shape
+                          else np.broadcast_to(c, out.shape)[lanes] for c in cols))
     return out
 
 
@@ -217,17 +230,17 @@ def _logmean(x, y):
 
 def _arithmetic_fn(x, y):
     # 0.5 * (x + y) never drops below min(x, y), not even for subnormal
-    # arguments, but the sum overflows once it passes DBL_MAX (numpy still
-    # warns about that).  Only those lanes are redone as 0.5*x + 0.5*y,
-    # where halving arguments that large is exact.
+    # arguments, but the sum overflows to inf once it passes DBL_MAX (numpy
+    # still warns about that).  Only those lanes are redone as
+    # 0.5*x + 0.5*y, where halving arguments that large is exact.  The
+    # mask is m == inf, not np.isinf(m): on a scalar call the comparison
+    # costs a tenth of the ufunc, and positive arguments never give -inf
     m = 0.5 * (x + y)
-    if isinstance(m, np.ndarray):
-        over = np.isinf(m)
-        if over.any():
-            m = np.where(over, 0.5 * x + 0.5 * y, m)
-    elif m == np.inf:
-        m = 0.5 * x + 0.5 * y
-    return m
+    return _patch(m, m == np.inf, _halves, x, y)
+
+
+def _halves(x, y):
+    return 0.5 * x + 0.5 * y
 
 
 def _geometric_fn(x, y):
@@ -241,13 +254,7 @@ def _harmonic_fn(x, y):
     # tiny (subnormal) arguments overflow and the mean underflows to 0,
     # below min(x, y); only those lanes are redone as 2*lo/(1 + lo/hi).
     m = 2.0 / (1.0 / x + 1.0 / y)
-    if isinstance(m, np.ndarray):
-        under = m == 0.0
-        if under.any():
-            m = np.where(under, _harmonic_tiny(x, y), m)
-    elif m == 0.0:
-        m = _harmonic_tiny(x, y)
-    return m
+    return _patch(m, m == 0.0, _harmonic_tiny, x, y)
 
 
 def _harmonic_tiny(x, y):
@@ -285,16 +292,7 @@ def power_mean(p: float) -> Mean:
         raise ParameterError(f"power mean requires a finite exponent, got {p!r}")
     if p == 0.0:
         return _REGISTRY["geometric"]
-    name = f"power:{p!r}"
-    return Mean(
-        _power_fn(p),
-        label=name,
-        symmetric=True,
-        homogeneous=True,
-        monotone=True,
-        strict=True,
-        spec=name,
-    )
+    return _catalog(_power_fn(p), f"power:{p!r}")
 
 
 def stolarsky(r: float, s: float) -> Mean:
@@ -332,60 +330,25 @@ def stolarsky(r: float, s: float) -> Mean:
         out = hi * _pow(_patch(core, near, _one), q)
         return _patch(out, near, series, hi, lo, d)
 
-    name = f"stolarsky:{r!r}:{s!r}"
-    return Mean(
-        _blockwise(fn),
-        label=name,
-        symmetric=True,
-        homogeneous=True,
-        monotone=True,
-        strict=True,
-        spec=name,
-    )
+    return _catalog(_blockwise(fn), f"stolarsky:{r!r}:{s!r}")
 
 
-_REGISTRY: dict[str, Mean] = {
-    "arithmetic": Mean(
-        _arithmetic_fn, "arithmetic",
-        symmetric=True, homogeneous=True, monotone=True, strict=True,
-        spec="arithmetic",
-    ),
-    "geometric": Mean(
-        _geometric_fn, "geometric",
-        symmetric=True, homogeneous=True, monotone=True, strict=True,
-        spec="geometric",
-    ),
-    "harmonic": Mean(
-        _harmonic_fn, "harmonic",
-        symmetric=True, homogeneous=True, monotone=True, strict=True,
-        spec="harmonic",
-    ),
-    "logarithmic": Mean(
-        _logmean, "logarithmic",
-        symmetric=True, homogeneous=True, monotone=True, strict=True,
-        spec="logarithmic",
-    ),
-    "min": Mean(
-        np.minimum, "min",
-        symmetric=True, homogeneous=True, monotone=True, strict=False,
-        spec="min",
-    ),
-    "max": Mean(
-        np.maximum, "max",
-        symmetric=True, homogeneous=True, monotone=True, strict=False,
-        spec="max",
-    ),
-    "proj1": Mean(
-        _proj1_fn, "proj1",
-        symmetric=False, homogeneous=True, monotone=True, strict=False,
-        spec="proj1",
-    ),
-    "proj2": Mean(
-        _proj2_fn, "proj2",
-        symmetric=False, homogeneous=True, monotone=True, strict=False,
-        spec="proj2",
-    ),
-}
+def _catalog(fn, name: str, symmetric: bool = True, strict: bool = True) -> Mean:
+    """A mean of the catalog: homogeneous and monotone, named by its spec."""
+    return Mean(fn, name, symmetric=symmetric, homogeneous=True, monotone=True,
+                strict=strict, spec=name)
+
+
+_REGISTRY: dict[str, Mean] = {M.label: M for M in (
+    _catalog(_arithmetic_fn, "arithmetic"),
+    _catalog(_geometric_fn, "geometric"),
+    _catalog(_harmonic_fn, "harmonic"),
+    _catalog(_logmean, "logarithmic"),
+    _catalog(np.minimum, "min", strict=False),
+    _catalog(np.maximum, "max", strict=False),
+    _catalog(_proj1_fn, "proj1", symmetric=False, strict=False),
+    _catalog(_proj2_fn, "proj2", symmetric=False, strict=False),
+)}
 
 # Catalog identifiers accepted by classical(), in a stable iteration order.
 CLASSICAL_NAMES: tuple[str, ...] = tuple(_REGISTRY)

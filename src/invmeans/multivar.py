@@ -20,7 +20,7 @@ import numpy as np
 
 from .complement import _kernel
 from .errors import DomainError, ParameterError
-from .means import _positive_finite, _pow
+from .means import _patch, _positive_finite, _pow
 from .verify import (DEFAULT_CONFIG, ScanConfig, ScanReport, _blocks,
                      _log_uniform, _scan)
 
@@ -74,17 +74,16 @@ def _check_arity(n: int) -> int:
 def _nary_arithmetic_fn(xs):
     # the sum inside np.mean overflows once it passes DBL_MAX; only those
     # lanes (an infinite mean of finite arguments) are redone, as
-    # max(x) * mean(x / max(x)), which stays in range; the quotient of the
-    # other lanes is discarded, so its warnings are too
+    # max(x) * mean(x / max(x)), which stays in range
     with np.errstate(over="ignore"):
         m = np.mean(xs, axis=0)
-    over = np.isinf(m)
-    if over.any():
-        over &= np.isfinite(xs).all(axis=0)
-        top = np.max(xs, axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m = np.where(over, top * np.mean(xs / top, axis=0), m)
-    return m
+    return _patch(m, np.isinf(m) & np.isfinite(xs).all(axis=0), _scaled_mean, *xs)
+
+
+def _scaled_mean(*rows):
+    xs = np.stack(rows)
+    top = np.max(xs, axis=0)
+    return top * np.mean(xs / top, axis=0)
 
 
 def nary_arithmetic(n: int) -> NaryMean:

@@ -58,14 +58,6 @@ def _empty_fn(x, y):
     return np.zeros(np.broadcast(x, y).shape, dtype=bool)
 
 
-def _lower_fn(x, y):
-    return np.less(x, y)
-
-
-def _upper_fn(x, y):
-    return np.greater(x, y)
-
-
 def _mixed_fn(x, y):
     # rule flips across x + y = 2: not scale invariant, still asymmetric
     return np.where(x + y < 2.0, np.less(x, y), np.greater(x, y))
@@ -74,8 +66,8 @@ def _mixed_fn(x, y):
 _BUILTIN: dict[str, ConeSet] = {
     "full": ConeSet(_full_fn, declared_asymmetric=False, declared_cone=True, name="full"),
     "empty": ConeSet(_empty_fn, declared_asymmetric=False, declared_cone=True, name="empty"),
-    "lower": ConeSet(_lower_fn, declared_asymmetric=True, declared_cone=True, name="lower"),
-    "upper": ConeSet(_upper_fn, declared_asymmetric=True, declared_cone=True, name="upper"),
+    "lower": ConeSet(np.less, declared_asymmetric=True, declared_cone=True, name="lower"),
+    "upper": ConeSet(np.greater, declared_asymmetric=True, declared_cone=True, name="upper"),
     "mixed": ConeSet(_mixed_fn, declared_asymmetric=True, declared_cone=False, name="mixed"),
 }
 

@@ -176,7 +176,6 @@ def _pair_samples(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-@lru_cache(maxsize=1)
 def _trace_samples(cfg: ScanConfig) -> np.ndarray:
     lo, hi = cfg.domain
     x = np.geomspace(lo, hi, cfg.points_per_axis ** 2)

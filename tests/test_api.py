@@ -1,0 +1,26 @@
+"""The package's public names."""
+
+import invmeans as im
+
+
+def test_public_names_are_pinned():
+    assert sorted(im.__all__) == [
+        "ARITHMETIC_ON_REALS", "BUILTIN_CONE_NAMES", "CLASSICAL_NAMES", "ConeSet",
+        "DEFAULT_CONFIG", "DomainError", "InvalidMeanSpec", "IterationTrace", "Mean",
+        "MeanPair", "MeansError", "NEAR_DIAGONAL_RTOL", "NaryMean", "ParameterError",
+        "RealMean", "RealMeanPair", "ScanConfig", "ScanReport", "TRANSLATIVE_ARG_LIMIT",
+        "TraceFn", "__version__", "builtin_cone", "check_exchange_property",
+        "check_flags", "check_invariance", "check_meanness", "check_monotone_trace",
+        "check_nary_meanness", "check_trace_meanness", "classical", "complement_cone",
+        "counterexample_ratio", "general_base", "general_pair",
+        "invariant_value_along_trajectory", "iterate_pair", "log_pair",
+        "nary_arithmetic", "nary_general_base", "nary_geometric",
+        "nary_invariant_tuple", "parse_mean", "parse_mean_spec", "parse_pair",
+        "power_mean", "projective_mean", "self_complement_base", "stolarsky",
+        "trace_of", "translative_conjugate", "translative_pair", "xy_pair",
+    ]
+
+
+def test_every_public_name_resolves():
+    for name in im.__all__:
+        assert hasattr(im, name), name

@@ -3,10 +3,12 @@
 The multi-pass evaluators and the pair kernel run long 1-D inputs in
 blocks of ``means._BLOCK`` lanes; the reference here is the same call
 with blocking switched off (the block size raised past every input), so
-nested evaluators run unblocked too.  The logarithmic, Stolarsky and
-power means compute one branch per lane and patch the exceptional lanes;
-their reference is the earlier formula that computed every branch on
-every lane and selected one with ``np.where``.
+nested evaluators run unblocked too.  The logarithmic, Stolarsky,
+power, arithmetic, harmonic and n-ary arithmetic means compute one
+branch per lane and patch the exceptional lanes; their reference is the
+earlier formula that computed every branch on every lane and selected
+one with ``np.where`` (the arithmetic and harmonic means also forked on
+``isinstance(m, np.ndarray)`` for scalar calls).
 """
 
 import dataclasses
@@ -178,6 +180,45 @@ def _earlier_power(p):
     return fn
 
 
+def _earlier_arithmetic(x, y):
+    m = 0.5 * (x + y)
+    if isinstance(m, np.ndarray):
+        over = np.isinf(m)
+        if over.any():
+            m = np.where(over, 0.5 * x + 0.5 * y, m)
+    elif m == np.inf:
+        m = 0.5 * x + 0.5 * y
+    return m
+
+
+def _earlier_harmonic_tiny(x, y):
+    lo = np.minimum(x, y)
+    return 2.0 * lo / (1.0 + lo / np.maximum(x, y))
+
+
+def _earlier_harmonic(x, y):
+    m = 2.0 / (1.0 / x + 1.0 / y)
+    if isinstance(m, np.ndarray):
+        under = m == 0.0
+        if under.any():
+            m = np.where(under, _earlier_harmonic_tiny(x, y), m)
+    elif m == 0.0:
+        m = _earlier_harmonic_tiny(x, y)
+    return m
+
+
+def _earlier_nary_arithmetic(xs):
+    with np.errstate(over="ignore"):
+        m = np.mean(xs, axis=0)
+    over = np.isinf(m)
+    if over.any():
+        over &= np.isfinite(xs).all(axis=0)
+        top = np.max(xs, axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m = np.where(over, top * np.mean(xs / top, axis=0), m)
+    return m
+
+
 def _gap_log_of(gap_log):
     def fn(x, y):
         hi, lo = np.maximum(x, y), np.minimum(x, y)
@@ -189,7 +230,9 @@ def _gap_log_of(gap_log):
 def _earlier_formulas():
     """(current evaluator, earlier formula) by name."""
     out = {"gap_log": (_gap_log_of(means._gap_log), _gap_log_of(_earlier_gap_log)),
-           "logarithmic": (L.fn, _earlier_logmean)}
+           "logarithmic": (L.fn, _earlier_logmean),
+           "arithmetic": (A.fn, _earlier_arithmetic),
+           "harmonic": (H.fn, _earlier_harmonic)}
     for r, s in ((3.0, 1.0), (-2.0, 1.0), (0.5, -0.5), (-3.0, -1.0), (2.0, -1.0)):
         out[f"stolarsky:{r!r}:{s!r}"] = (im.stolarsky(r, s).fn, _earlier_stolarsky(r, s))
     for p in (-3.0, -0.5, 0.5, 2.0, 7.0):
@@ -216,7 +259,8 @@ def test_patched_output_equals_the_earlier_formula(name, inputs):
     assert np.array_equal(got, want, equal_nan=True)
 
 
-@pytest.mark.parametrize("name", ["logarithmic", "stolarsky:3.0:1.0", "power:-0.5"])
+@pytest.mark.parametrize("name", ["logarithmic", "stolarsky:3.0:1.0", "power:-0.5",
+                                  "arithmetic", "harmonic"])
 def test_non_finite_and_zero_lanes_equal_the_earlier_formula(name):
     # lanes a pair kernel can hand to a target mean after an overflow or
     # an underflow: inf, 0 and nan arguments.  Where the power mean's
@@ -261,6 +305,87 @@ def test_power_mean_takes_its_limits_at_zero_and_infinity(p):
             assert_allclose(lanes, [want, want], rtol=1e-15, err_msg=f"{(x, y)}")
 
 
+# 0, subnormals, DBL_MIN, large finite values up to DBL_MAX, inf and nan:
+# the lanes where the arithmetic mean's sum overflows and the harmonic
+# mean's reciprocals do
+DBL_MAX = np.finfo(float).max
+EDGE = np.array([0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-300, 0.5, 1.0,
+                 3.0, 1e300, 8.98e307, DBL_MAX, np.inf, np.nan])
+
+
+def _edge_inputs():
+    """(x, y) on the edge values: whole grid, 0-d, 0-d against 1-D, outer product."""
+    x, y = np.repeat(EDGE, EDGE.size), np.tile(EDGE, EDGE.size)
+    out = {"grid": (x, y), "outer": (EDGE[:, None], EDGE[None, :])}
+    for a in (5e-324, 1e300, DBL_MAX, np.inf):
+        out[f"0d-{a!r}"] = (np.asarray(a), np.asarray(a))
+        out[f"float64-{a!r}-vs-1d"] = (np.float64(a), EDGE)
+        out[f"1d-vs-0d-{a!r}"] = (EDGE, np.asarray(a))
+        out[f"float-{a!r}-vs-1d"] = (a, EDGE)
+    out["0d-mixed"] = (np.asarray(DBL_MAX), np.asarray(8.98e307))
+    out["0d-tiny"] = (np.asarray(5e-324), np.asarray(1.0))
+    return out
+
+
+EDGE_INPUTS = _edge_inputs()
+
+
+@pytest.mark.parametrize("inputs", EDGE_INPUTS)
+@pytest.mark.parametrize("name", ["arithmetic", "harmonic"])
+def test_edge_lanes_equal_the_earlier_fork(name, inputs):
+    fn, earlier = EARLIER[name]
+    x, y = EDGE_INPUTS[inputs]
+    with np.errstate(all="ignore"):
+        got, want = fn(x, y), earlier(x, y)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_calls_of_mixed_shapes_patch_their_overflow_and_underflow_lanes():
+    # a 0-d or scalar argument against an array, and an outer product,
+    # on lanes that take the patched branch
+    with np.errstate(over="ignore"):
+        assert np.array_equal(A(DBL_MAX, [1.0, DBL_MAX]), [0.5 * DBL_MAX + 0.5, DBL_MAX])
+        assert np.array_equal(A([[DBL_MAX], [1.0]], [[DBL_MAX, 3.0]]),
+                              [[DBL_MAX, 0.5 * DBL_MAX + 1.5], [0.5 * DBL_MAX + 0.5, 2.0]])
+        assert np.array_equal(H(5e-324, [1.0, 5e-324]), [1e-323, 5e-324])
+        assert np.array_equal(H([[5e-324], [1.0]], [[5e-324, 1.0]]),
+                              [[5e-324, 1e-323], [1e-323, 1.0]])
+
+
+def _nary_inputs(n):
+    """(n, ...) argument stacks: rows alternate x and y of each input."""
+    out = {f"{key}": np.stack(np.broadcast_arrays(*((x, y) * n)[:n]))
+           for key, (x, y) in {**INPUTS, **EDGE_INPUTS}.items()}
+    top = np.full((n, 7), 0.5)
+    top[:, 3] = DBL_MAX  # one overflowing lane among finite ones
+    out["one-overflow-lane"] = top
+    out["zeros-and-overflow"] = np.repeat([[0.0, DBL_MAX, 1.0, 8.98e307]], n, axis=0)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_nary_arithmetic_equals_the_earlier_formula(n):
+    fn = im.nary_arithmetic(n).fn
+    for key, xs in _nary_inputs(n).items():
+        with np.errstate(all="ignore"):
+            want = _earlier_nary_arithmetic(xs)
+            got = fn(xs)
+        assert np.shape(got) == np.shape(want), key
+        assert np.array_equal(got, want, equal_nan=True), key
+
+
+def test_nary_overflow_lanes_raise_no_warning_beside_zero_lanes():
+    # only the overflowing lanes are divided by their maximum, so lanes of
+    # zeros no longer compute a discarded 0/0
+    xs = np.repeat([[0.0, DBL_MAX, 1.0]], 3, axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = im.nary_arithmetic(3).fn(xs)
+    assert np.array_equal(got, [0.0, DBL_MAX, 1.0])
+
+
 class TestPatch:
     def test_only_the_masked_lanes_are_evaluated_and_replaced(self):
         seen = []
@@ -279,6 +404,29 @@ class TestPatch:
     def test_an_empty_mask_calls_nothing(self):
         out = np.ones(5)
         assert means._patch(out, np.zeros(5, bool), pytest.fail) is out
+
+    def test_a_0d_column_is_broadcast_to_the_masked_lanes(self):
+        a = np.arange(6.0)
+        mask = a > 3.0
+        out = means._patch(a.copy(), mask, np.add, a, np.asarray(10.0))
+        assert np.array_equal(out, [0.0, 1.0, 2.0, 3.0, 14.0, 15.0])
+        out = means._patch(a.copy(), mask, np.add, 20.0, a)
+        assert np.array_equal(out, [0.0, 1.0, 2.0, 3.0, 24.0, 25.0])
+
+    def test_a_broadcast_column_is_gathered_at_the_masked_lanes(self):
+        seen = []
+
+        def fn(a, b):
+            seen.append((a.copy(), b.copy()))
+            return a * b
+
+        row = np.arange(4.0)[None, :]
+        col = np.arange(3.0)[:, None] + 10.0
+        mask = np.zeros((3, 4), bool)
+        mask[0, 1] = mask[2, 3] = True
+        out = means._patch(np.zeros((3, 4)), mask, fn, row, col)
+        assert np.array_equal(seen[0][0], [1.0, 3.0]) and np.array_equal(seen[0][1], [10.0, 12.0])
+        assert np.array_equal(out, np.where(mask, row * col, 0.0))
 
     @pytest.mark.parametrize("mask", [True, False, np.bool_(True), np.bool_(False)])
     def test_a_scalar_is_replaced_whole(self, mask):

@@ -134,6 +134,12 @@ class TestSamplesChecked:
         assert im.check_trace_meanness(A, TRACE_CFG).samples_checked == off_one
         assert im.check_monotone_trace(A, TRACE_CFG).samples_checked == x.size
 
+    def test_trace_samples_are_a_read_only_geometric_axis(self):
+        x = _trace_samples(TRACE_CFG)
+        lo, hi = TRACE_CFG.domain
+        assert np.array_equal(x, np.geomspace(lo, hi, TRACE_CFG.points_per_axis ** 2))
+        assert not x.flags.writeable
+
     def test_nary_scan_counts_every_vector(self):
         report = im.check_nary_meanness(im.nary_arithmetic(3), CFG)
         assert report.passed

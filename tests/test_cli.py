@@ -121,6 +121,13 @@ class TestCheck:
         assert code == 2
         assert "requires --mean" in err
 
+    @pytest.mark.parametrize("what, arg", [
+        ("mean", "mean"), ("trace", "mean"), ("monotone", "mean"),
+        ("invariance", "pair"), ("flags", "mean")])
+    def test_each_check_names_its_missing_subject(self, capsys, what, arg):
+        code, out, err = run(capsys, ["check", "--what", what])
+        assert (code, out, err) == (2, "", f"error: --what {what} requires --{arg}\n")
+
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run(capsys, [
             "check", "--what", "mean", "--mean", "arithmetic",

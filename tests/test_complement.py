@@ -389,6 +389,17 @@ class TestTranslativeConjugate:
     def test_arithmetic_on_reals_handles_negatives(self):
         assert im.ARITHMETIC_ON_REALS(-3, -5) == -4.0
 
+    @pytest.mark.parametrize("x, y", [(np.inf, -np.inf), (np.nan, 0.0), (0.0, np.inf),
+                                      ([1.0, np.nan], 2.0), (1.0, [-np.inf, 0.0])])
+    def test_calls_reject_non_finite_arguments(self, x, y):
+        for N in (im.ARITHMETIC_ON_REALS, im.translative_conjugate(G)):
+            with pytest.raises(im.DomainError, match="finite"):
+                N(x, y)
+
+    def test_the_raw_evaluator_does_not_check(self):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(im.ARITHMETIC_ON_REALS.fn(np.inf, -np.inf))
+
 
 class TestTranslativePair:
     @pytest.mark.parametrize("t", [-0.5, 0.0, 0.5])

@@ -146,6 +146,38 @@ class TestCatalogValues:
         )
 
 
+# label, spec, symmetric, homogeneous, monotone, strict: written out so the
+# shared catalog rule cannot drift
+CATALOG_TABLE = [
+    ("arithmetic", "arithmetic", True, True, True, True),
+    ("geometric", "geometric", True, True, True, True),
+    ("harmonic", "harmonic", True, True, True, True),
+    ("logarithmic", "logarithmic", True, True, True, True),
+    ("min", "min", True, True, True, False),
+    ("max", "max", True, True, True, False),
+    ("proj1", "proj1", False, True, True, False),
+    ("proj2", "proj2", False, True, True, False),
+    ("power:2.0", "power:2.0", True, True, True, True),
+    ("stolarsky:3.0:1.0", "stolarsky:3.0:1.0", True, True, True, True),
+]
+
+
+@pytest.mark.parametrize("row", CATALOG_TABLE, ids=[r[0] for r in CATALOG_TABLE])
+def test_catalog_labels_specs_and_flags(row):
+    label = row[0]
+    if label.startswith("power:"):
+        M = im.power_mean(2)
+    elif label.startswith("stolarsky:"):
+        M = im.stolarsky(3, 1)
+    else:
+        M = im.classical(label)
+    assert (M.label, M.spec, M.symmetric, M.homogeneous, M.monotone, M.strict) == row
+
+
+def test_the_table_covers_the_catalog():
+    assert [r[0] for r in CATALOG_TABLE[:len(im.CLASSICAL_NAMES)]] == list(im.CLASSICAL_NAMES)
+
+
 class TestConstructorErrors:
     def test_unknown_name(self):
         with pytest.raises(im.InvalidMeanSpec, match="unknown mean identifier"):

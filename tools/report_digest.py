@@ -14,6 +14,14 @@ cli      the benchmark's CLI cases for seed 1: exit code and stdout
 specs    40,000 generated mean expressions, seed 1, most of them malformed:
          each parse's result type, spec and label, or its exception
          class, message and position
+evaluators  the raw evaluators ``.fn`` of every catalog mean, five power
+         and five Stolarsky means and the n-ary arithmetic mean (n = 2,
+         3, 5) on the lanes no scan reaches: the 18 x 18 grid of 0,
+         subnormals, DBL_MIN, 1 + 2**-52, 1e300, DBL_MAX, inf and nan
+         (among others), near-diagonal pairs across 1e-300 .. 1e300, a
+         tiled copy longer than three blocks, 0-d scalars, 0-d against
+         1-D and an (18, 1) x (1, 18) outer product; each output's dtype,
+         shape and bytes, or its exception class and message
 
 A report enters a digest as passed, worst violation, samples checked,
 witness and detail.  Running this against two source trees and diffing
@@ -36,6 +44,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 
 import invmeans as im  # noqa: E402
+from invmeans.means import _BLOCK  # noqa: E402
 import workloads as wl  # noqa: E402
 
 
@@ -161,7 +170,67 @@ def specs(h) -> int:
     return len(cases)
 
 
-FAMILIES = {f.__name__: f for f in (sweep, bigscan, iterate, cli, specs)}
+# 0, subnormals, DBL_MIN, the float range's edges, 1 and its successor,
+# inf and nan: the lanes where evaluators overflow, underflow or patch
+EDGE_VALUES = np.array([
+    0.0, 5e-324, 1e-310, sys.float_info.min, 4.5e-308, 1e-300, 1e-8, 0.5,
+    1.0, 1.0 + 2.0 ** -52, 2.0, 3.0, 1e8, 1e300, 8.98e307, sys.float_info.max,
+    np.inf, np.nan,
+])
+
+
+def _evaluator_subjects() -> list:
+    return ([im.classical(name).fn for name in im.CLASSICAL_NAMES]
+            + [im.power_mean(p).fn for p in (-3.0, -0.5, 0.5, 2.0, 7.0)]
+            + [im.stolarsky(r, s).fn for r, s in
+               ((3.0, 1.0), (-2.0, 1.0), (0.5, -0.5), (-3.0, -1.0), (2.0, -1.0))])
+
+
+def _evaluator_inputs() -> list:
+    """(x, y) argument pairs: the edge grid, near-diagonal lanes, long and mixed shapes."""
+    v = EDGE_VALUES
+    grid = (np.repeat(v, v.size), np.tile(v, v.size))
+    # relative gaps 1e-16 .. 1e-7 on both sides of the diagonal
+    base = np.geomspace(1e-300, 1e300, 61)
+    gaps = np.concatenate([-np.geomspace(1e-16, 1e-7, 19), np.geomspace(1e-16, 1e-7, 19)])
+    near = (np.repeat(base, gaps.size), np.outer(base, 1.0 + gaps).ravel())
+    both = tuple(np.concatenate(c) for c in zip(grid, near))
+    copies = 3 * _BLOCK // both[0].size + 1
+    inputs = [grid, near, tuple(np.tile(c, copies) for c in both)]
+    inputs += [(np.asarray(a), np.asarray(b)) for a, b in zip(*grid)]
+    inputs += [(np.float64(a), v) for a in v] + [(v, np.asarray(b)) for b in v]
+    inputs.append((v[:, None], v[None, :]))
+    return inputs
+
+
+def _evaluator_outcome(h, fn, *args) -> int:
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except Exception as e:  # noqa: BLE001 - any raise is an outcome
+        h.update(f"{type(e).__name__}|{e}\0".encode())
+        return 0
+    a = np.ascontiguousarray(out)
+    h.update(f"{a.dtype}|{a.shape}\0".encode() + a.tobytes())
+    return a.size
+
+
+def evaluators(h) -> int:
+    lanes = 0
+    inputs = _evaluator_inputs()
+    for fn in _evaluator_subjects():
+        for x, y in inputs:
+            lanes += _evaluator_outcome(h, fn, x, y)
+    for n in (2, 3, 5):
+        fn = im.nary_arithmetic(n).fn
+        for x, y in inputs:
+            # n rows alternating x and y, broadcast to one shape
+            xs = np.stack(np.broadcast_arrays(*((x, y) * n)[:n]))
+            lanes += _evaluator_outcome(h, fn, xs)
+    return lanes
+
+
+FAMILIES = {f.__name__: f for f in (sweep, bigscan, iterate, cli, specs, evaluators)}
 
 
 def main() -> None:
