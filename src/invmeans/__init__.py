@@ -1,118 +1,23 @@
 """Bivariate-means algebra: complementary pairs solving M(K, L) = M.
 
 The package constructs explicit pairs of means (K, L) that leave a target
-mean M invariant, verifies mean-ness and invariance by deterministic
-numeric scans, iterates mean-type mappings to their invariant limit, and
-exposes everything through a textual expression grammar and a CLI.
+mean M invariant, on the positive half-line and, through the translative
+conjugate, on the whole real line.  It verifies mean-ness and invariance
+by deterministic numeric scans, iterates mean-type mappings to their
+invariant limit, and exposes everything through a textual expression
+grammar and a CLI.  Each module lists its public names in ``__all__``.
 """
-from .complement import (
-    ARITHMETIC_ON_REALS,
-    TRANSLATIVE_ARG_LIMIT,
-    MeanPair,
-    RealMean,
-    RealMeanPair,
-    general_base,
-    general_pair,
-    log_pair,
-    self_complement_base,
-    translative_conjugate,
-    translative_pair,
-    xy_pair,
-)
-from .errors import DomainError, InvalidMeanSpec, MeansError, ParameterError
-from .iterate import IterationTrace, invariant_value_along_trajectory, iterate_pair
-from .means import (
-    CLASSICAL_NAMES,
-    NEAR_DIAGONAL_RTOL,
-    Mean,
-    TraceFn,
-    classical,
-    power_mean,
-    stolarsky,
-    trace_of,
-)
-from .multivar import (
-    NaryMean,
-    check_nary_meanness,
-    counterexample_ratio,
-    nary_arithmetic,
-    nary_general_base,
-    nary_geometric,
-    nary_invariant_tuple,
-)
-from .projective import (
-    BUILTIN_CONE_NAMES,
-    ConeSet,
-    builtin_cone,
-    check_exchange_property,
-    complement_cone,
-    projective_mean,
-)
-from .specs import parse_mean, parse_mean_spec, parse_pair
-from .verify import (
-    DEFAULT_CONFIG,
-    ScanConfig,
-    ScanReport,
-    check_flags,
-    check_invariance,
-    check_meanness,
-    check_monotone_trace,
-    check_trace_meanness,
-)
+from . import complement, errors, iterate, means, multivar, projective, specs, verify
+from .complement import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .iterate import *  # noqa: F403
+from .means import *  # noqa: F403
+from .multivar import *  # noqa: F403
+from .projective import *  # noqa: F403
+from .specs import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARITHMETIC_ON_REALS",
-    "BUILTIN_CONE_NAMES",
-    "CLASSICAL_NAMES",
-    "DEFAULT_CONFIG",
-    "ConeSet",
-    "DomainError",
-    "InvalidMeanSpec",
-    "IterationTrace",
-    "Mean",
-    "MeanPair",
-    "MeansError",
-    "NEAR_DIAGONAL_RTOL",
-    "NaryMean",
-    "ParameterError",
-    "RealMean",
-    "RealMeanPair",
-    "ScanConfig",
-    "ScanReport",
-    "TRANSLATIVE_ARG_LIMIT",
-    "TraceFn",
-    "builtin_cone",
-    "check_exchange_property",
-    "check_flags",
-    "check_invariance",
-    "check_meanness",
-    "check_monotone_trace",
-    "check_nary_meanness",
-    "check_trace_meanness",
-    "classical",
-    "complement_cone",
-    "counterexample_ratio",
-    "general_base",
-    "general_pair",
-    "invariant_value_along_trajectory",
-    "iterate_pair",
-    "log_pair",
-    "nary_arithmetic",
-    "nary_general_base",
-    "nary_geometric",
-    "nary_invariant_tuple",
-    "parse_mean",
-    "parse_mean_spec",
-    "parse_pair",
-    "power_mean",
-    "projective_mean",
-    "self_complement_base",
-    "stolarsky",
-    "trace_of",
-    "translative_conjugate",
-    "translative_pair",
-    "xy_pair",
-    "__version__",
-]
+__all__ = [name for module in (complement, errors, iterate, means, multivar, projective,
+                               specs, verify) for name in module.__all__] + ["__version__"]

@@ -26,7 +26,9 @@ flag and spec policy:
 
 A second family lives on the whole real line: ``translative_conjugate``
 transports a homogeneous mean through exp/log to a translative one, and
-``translative_pair`` builds the additive analogue of the xy construction.
+``translative_pair`` builds the additive analogue of the xy construction,
+a ``MeanPair`` of ``RealMean``s that ``check_invariance`` scans like any
+other pair.
 """
 from __future__ import annotations
 
@@ -60,9 +62,12 @@ __all__ = [
 class MeanPair:
     """Ordered pair (K, L) tagged with the mean it claims to leave invariant.
 
-    ``t`` is the construction parameter when one exists (None for ad-hoc
-    pairs such as (arithmetic, harmonic) around geometric).  ``spec`` is
-    the parseable pair expression when every ingredient has one.
+    K, L and the target are ``Mean``s on the positive half-line, or
+    ``RealMean``s on the whole real line (``translative_pair``; the name
+    ``RealMeanPair`` refers to this class).  ``t`` is the construction
+    parameter when one exists (None for ad-hoc pairs such as (arithmetic,
+    harmonic) around geometric).  ``spec`` is the parseable pair
+    expression when every ingredient has one.
     ``fused`` is a one-pass evaluator (x, y) -> (K, L, M(x, y)) that the
     kernel constructors attach after construction; K and L are its first
     two outputs.  It is not an init argument, so ``dataclasses.replace``
@@ -71,9 +76,9 @@ class MeanPair:
     checked against its own components, never a stale kernel.
     """
 
-    K: Mean
-    L: Mean
-    target: Mean
+    K: Mean | RealMean
+    L: Mean | RealMean
+    target: Mean | RealMean
     t: float | None = None
     spec: str | None = None
     fused: Callable | None = field(default=None, init=False, repr=False,
@@ -143,16 +148,21 @@ def _kernel_pair(M: Mean, components: Callable, t: float, name: str, args: str,
     return pair
 
 
+def _base(kernel: Callable, t: float) -> Callable:
+    """The base N = ratio^(1/(1-t)) of a ``_kernel``, at its arity."""
+    q = 1.0 / (1.0 - t)
+
+    def fn(*args):
+        return _pow(kernel(*args)[1], q)
+
+    return fn
+
+
 def _kernel_base(M: Mean, components: Callable, t: float, label: str,
                  symmetric: bool, homogeneous: bool, spec: str | None) -> Mean:
     # monotone and strict stay False: mean-ness is left to an explicit scan
-    kernel = _kernel(M.fn, components, t)
-    q = 1.0 / (1.0 - t)
-
-    def fn(x, y):
-        return _pow(kernel(x, y)[1], q)
-
-    return Mean(_blockwise(fn), label=spec or label, symmetric=symmetric,
+    return Mean(_blockwise(_base(_kernel(M.fn, components, t), t)),
+                label=spec or label, symmetric=symmetric,
                 homogeneous=homogeneous, monotone=False, strict=False, spec=spec)
 
 
@@ -318,30 +328,30 @@ class RealMean:
         return f"RealMean({self.label})"
 
 
-@dataclass(frozen=True)
-class RealMeanPair:
-    K: RealMean
-    L: RealMean
-    target: RealMean
-    t: float | None = None
-
+# a pair on the real line is a MeanPair of RealMeans
+RealMeanPair = MeanPair
 
 # exp overflows just above 709; stay a little inside
 TRANSLATIVE_ARG_LIMIT = 700.0
+
+
+class _TranslativeOverflow(DomainError, OverflowError):
+    """An argument of a translative conjugate lies beyond the limit."""
 
 
 def translative_conjugate(M: Mean) -> RealMean:
     """Transport M through exp/log: N(x, y) = log M(e^x, e^y).
 
     N is translative exactly when M is homogeneous (declared accordingly).
-    Arguments beyond |x| <= 700 raise OverflowError before exp runs.
+    Arguments beyond |x| <= 700 raise before exp runs, with an error that
+    is both a ``DomainError`` and an ``OverflowError``.
     """
 
     def fn(x, y):
         if np.any(np.abs(x) > TRANSLATIVE_ARG_LIMIT) or np.any(
             np.abs(y) > TRANSLATIVE_ARG_LIMIT
         ):
-            raise OverflowError(
+            raise _TranslativeOverflow(
                 f"conjugate of {M.label}: arguments must satisfy "
                 f"|x| <= {TRANSLATIVE_ARG_LIMIT:g}"
             )
@@ -371,7 +381,7 @@ ARITHMETIC_ON_REALS = RealMean(
 )
 
 
-def translative_pair(N: RealMean, t: float) -> RealMeanPair:
+def translative_pair(N: RealMean, t: float) -> MeanPair:
     """Additive pair (tx + (1-t)N_t, ty + (1-t)N_t) complementary to N.
 
     N_t = (N(x,y) - N(tx,ty))/(1-t); the components fold the 1-t factor,
@@ -400,4 +410,4 @@ def translative_pair(N: RealMean, t: float) -> RealMeanPair:
                  symmetric=sym, monotone=False, translative=True)
     L = RealMean(l_fn, f"transpair.L({N.label}, t={t!r})",
                  symmetric=sym, monotone=False, translative=True)
-    return RealMeanPair(K, L, target=N, t=t)
+    return MeanPair(K, L, target=N, t=t)

@@ -3,6 +3,8 @@
 Everything derives from ValueError so callers can catch broadly.
 """
 
+__all__ = ["MeansError", "ParameterError", "DomainError", "InvalidMeanSpec"]
+
 
 class MeansError(ValueError):
     """Base class for errors raised by this package."""

@@ -123,4 +123,4 @@ def invariant_value_along_trajectory(pair, trace: IterationTrace,
             yield np.abs(v - values[0]) / abs(values[0]), (n, xs, ys, v)
 
     return _scan(float(rel_tol), (trace.iterates[:, 0], trace.iterates[:, 1]),
-                 measure, pair.target.fn)
+                 measure)

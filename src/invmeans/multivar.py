@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .complement import _kernel
+from .complement import _base, _kernel
 from .errors import DomainError, ParameterError
-from .means import _patch, _positive_finite, _pow
+from .means import _patch, _positive_finite
 from .verify import (DEFAULT_CONFIG, ScanConfig, ScanReport, _blocks,
-                     _log_uniform, _scan)
+                     _log_uniform, _scan, _trace_samples)
 
 __all__ = [
     "NaryMean",
@@ -71,19 +72,26 @@ def _check_arity(n: int) -> int:
     return n
 
 
+def _row_mean(xs):
+    # the rows summed in order: np.mean sums a single vector of 8 or more
+    # entries pairwise but an (n, m) stack row by row, so a lane would
+    # depend on how the call is batched
+    return reduce(np.add, xs) / len(xs)
+
+
 def _nary_arithmetic_fn(xs):
-    # the sum inside np.mean overflows once it passes DBL_MAX; only those
-    # lanes (an infinite mean of finite arguments) are redone, as
+    # the sum overflows once it passes DBL_MAX; only those lanes (an
+    # infinite mean of finite arguments) are redone, as
     # max(x) * mean(x / max(x)), which stays in range
     with np.errstate(over="ignore"):
-        m = np.mean(xs, axis=0)
+        m = _row_mean(xs)
     return _patch(m, np.isinf(m) & np.isfinite(xs).all(axis=0), _scaled_mean, *xs)
 
 
 def _scaled_mean(*rows):
     xs = np.stack(rows)
     top = np.max(xs, axis=0)
-    return top * np.mean(xs / top, axis=0)
+    return top * _row_mean(xs / top)
 
 
 def nary_arithmetic(n: int) -> NaryMean:
@@ -94,7 +102,7 @@ def nary_arithmetic(n: int) -> NaryMean:
 def nary_geometric(n: int) -> NaryMean:
     n = _check_arity(n)
     # log-domain form: no overflow for products of large entries
-    return NaryMean(lambda xs: np.exp(np.mean(np.log(xs), axis=0)), n,
+    return NaryMean(lambda xs: np.exp(_row_mean(np.log(xs))), n,
                     f"geometric[{n}]")
 
 
@@ -127,13 +135,8 @@ def nary_general_base(M: NaryMean, components: Sequence[NaryMean],
                       t: float) -> NaryMean:
     """Kernel N = (M / M(C_1^t, ..., C_n^t))^(1/(1-t)); not a mean in general."""
     kernel, components, t = _nary_kernel(M, components, t)
-    q = 1.0 / (1.0 - t)
-
-    def fn(xs):
-        return _pow(kernel(xs)[1], q)
-
     label = f"nt[{M.label}; {', '.join(C.label for C in components)}; t={t!r}]"
-    return NaryMean(fn, M.n, label)
+    return NaryMean(_base(kernel, t), M.n, label)
 
 
 def nary_invariant_tuple(M: NaryMean, components: Sequence[NaryMean],
@@ -199,7 +202,7 @@ def check_nary_meanness(F: NaryMean, cfg: ScanConfig | None = None) -> ScanRepor
     lo, hi = cfg.domain
     m = cfg.points_per_axis ** 2
     ray = np.ones((F.n, m))
-    ray[1:, :] = np.geomspace(lo, hi, m)
+    ray[1:, :] = _trace_samples(cfg)
     rng = np.random.default_rng(cfg.seed)
     rand = _log_uniform(rng, np.log(lo), np.log(hi), np.empty((F.n, 10 * m)))
     xs = np.concatenate([ray, rand], axis=1)
@@ -211,5 +214,4 @@ def check_nary_meanness(F: NaryMean, cfg: ScanConfig | None = None) -> ScanRepor
             mx = b.max(axis=0)
             yield np.maximum(b.min(axis=0) - v, v - mx) / mx, block + (v,)
 
-    return _scan(cfg.rel_tol, tuple(xs), measure,
-                 lambda *row: F.fn(np.asarray(row, dtype=float)))
+    return _scan(cfg.rel_tol, tuple(xs), measure)

@@ -165,4 +165,4 @@ def check_exchange_property(A: ConeSet, samples=None,
             swapped = np.maximum(np.abs(k - y), np.abs(l - x))
             yield np.minimum(as_given, swapped) / np.maximum(x, y), (x, y, k, l)
 
-    return _scan(cfg.rel_tol, (x, y), measure, lambda a, b: _selections(A, a, b))
+    return _scan(cfg.rel_tol, (x, y), measure)

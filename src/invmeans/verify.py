@@ -11,8 +11,9 @@ Every check, here and in ``projective``, ``multivar`` and ``iterate``, is
 a ``measure`` generator that yields (violations, witness columns) block by
 block, run by one engine, ``_scan``: numpy warnings silenced, one running
 argmax over the blocks, and an evaluator exception turned into a failed
-report whose witness is the first sample a one-at-a-time replay rejects.
-Non-finite output fails too; nothing is raised out of a scan.
+report whose witness is the first sample on which the same ``measure``,
+run again one sample at a time, raises.  Non-finite output fails too;
+nothing is raised out of a scan.
 
 A scan streams its lanes through blocks of ``means._BLOCK`` lanes
 (``_blocks``), so its violation arithmetic, the flag scans' random draws
@@ -23,8 +24,8 @@ on all lanes in one call (the multi-pass evaluators block it themselves,
 other (adjacent trace values, a trajectory's first value) evaluate on
 all lanes first and stream elementwise columns.  Reports do not depend on
 the block size.  The invariance scan takes K, L and M(x, y) from the
-pair's fused evaluator (``MeanPair.evaluate``).  Only the latest pair and
-trace sample sets stay cached.
+pair's fused evaluator (``MeanPair.evaluate``).  Only the latest pair
+sample set stays cached.
 
 Random draws (the supplement, the homogeneity scale factors and the
 dominating pairs of the monotone scan) are ``low + (high - low) * u`` on
@@ -193,32 +194,29 @@ _FAILED = "evaluation failed"
 def _blocks(*columns):
     """Consecutive ``_BLOCK``-lane slices of equal-length 1-D columns, one tuple per block.
 
-    The last block may be partial; columns of at most one block are
-    yielded as they are.
+    The last block may be partial.
     """
-    n = len(columns[0])
-    if n <= _BLOCK:
-        yield columns
-        return
-    for lo in range(0, n, _BLOCK):
+    for lo in range(0, len(columns[0]), _BLOCK):
         yield tuple(c[lo:lo + _BLOCK] for c in columns)
 
 
-def _failure_report(replay, lanes, exc: Exception) -> ScanReport:
-    # the vector evaluation raised; replay sample by sample to locate the
-    # first sample the evaluator rejects
+def _failure_report(measure, lanes, exc: Exception) -> ScanReport:
+    # the vector evaluation raised; run ``measure`` again on one sample at
+    # a time, as fresh one-element arrays, to locate the first it rejects
+    lanes = [np.asarray(a, dtype=float) for a in lanes]
     witness: tuple[float, ...] = ()
-    for row in zip(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in lanes)):
+    for i in range(lanes[0].size):
+        row = tuple(a[i:i + 1].copy() for a in lanes)
         try:
-            replay(*row)
+            for _ in measure(*row):
+                pass
         except Exception:
-            witness = tuple(float(v) for v in row)
+            witness = tuple(float(a[0]) for a in row)
             break
-    return ScanReport(False, math.inf, witness, int(np.size(lanes[0])),
-                      f"{_FAILED}: {exc}")
+    return ScanReport(False, math.inf, witness, lanes[0].size, f"{_FAILED}: {exc}")
 
 
-def _scan(tol: float, lanes, measure, replay, samples: int | None = None,
+def _scan(tol: float, lanes, measure, samples: int | None = None,
           rows=None) -> ScanReport:
     """The scan engine that every check plugs into.
 
@@ -229,9 +227,9 @@ def _scan(tol: float, lanes, measure, replay, samples: int | None = None,
     ``samples`` (default: one per violation).  A non-finite violation
     ranks above every finite one and a tie keeps the earlier lane, so the
     report is the one a single argmax over all lanes would give.  Numpy
-    warnings are silenced throughout.  If ``measure`` raises, ``replay``
-    is called on one sample of ``lanes`` (of ``rows()`` when given) at a
-    time and the first sample it rejects is the witness of a failed
+    warnings are silenced throughout.  If ``measure`` raises, it runs
+    again on one sample of ``lanes`` (of ``rows()`` when given) at a
+    time, and the first sample it rejects is the witness of a failed
     report.
     """
     worst, witness, count = -math.inf, (), 0
@@ -248,7 +246,7 @@ def _scan(tol: float, lanes, measure, replay, samples: int | None = None,
                     worst = float(ranked[i])
                     witness = tuple(float(c[i]) for c in columns)
         except Exception as exc:
-            return _failure_report(replay, lanes if rows is None else rows(), exc)
+            return _failure_report(measure, lanes if rows is None else rows(), exc)
     if count == 0:
         return ScanReport(True, 0.0, (), 0)
     detail = "" if worst < math.inf else "non-finite evaluation at witness"
@@ -269,7 +267,7 @@ def check_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
             mx = np.maximum(x, y)
             yield np.maximum(np.minimum(x, y) - v, v - mx) / mx, (x, y, v)
 
-    return _scan(cfg.rel_tol, _pair_samples(cfg), measure, F.fn)
+    return _scan(cfg.rel_tol, _pair_samples(cfg), measure)
 
 
 def _invariance_terms(pair, x, y):
@@ -293,15 +291,13 @@ def check_invariance(pair, cfg: ScanConfig | None = None) -> ScanReport:
     (x, y, M(K,L), M(x,y)).
     """
     cfg = cfg or DEFAULT_CONFIG
-    K, L, M = pair.K, pair.L, pair.target
 
     def measure(x, y):
         for x, y in _blocks(x, y):
             _, _, inner, outer, viol = _invariance_terms(pair, x, y)
             yield viol, (x, y, inner, outer)
 
-    return _scan(cfg.rel_tol, _pair_samples(cfg), measure,
-                 lambda a, b: M.fn(K.fn(a, b), L.fn(a, b)))
+    return _scan(cfg.rel_tol, _pair_samples(cfg), measure)
 
 
 def _trace_scan(F, cfg: ScanConfig | None, measure, skip_one: bool = False) -> ScanReport:
@@ -315,7 +311,7 @@ def _trace_scan(F, cfg: ScanConfig | None, measure, skip_one: bool = False) -> S
     if skip_one:
         x = x[np.abs(x - 1.0) > 1e-9]
     return _scan(cfg.rel_tol, (x, np.ones_like(x)),
-                 lambda x, one: measure(x, _lanes(F.fn(x, one), x)), F.fn, x.size)
+                 lambda x, one: measure(x, _lanes(F.fn(x, one), x)), x.size)
 
 
 def check_trace_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
@@ -421,26 +417,24 @@ def _flag_scans(tol):
 
 
 def _flag_scan(fn, cfg, value, draw, call, violation) -> ScanReport:
-    # one flag scan; ``value()`` is F(x, y) on all lanes.  A raise is
-    # replayed through F(x, y) and the scan's own call, with the draws of
-    # each lane, so the witness is the first sample that raises
+    # one flag scan; ``value()`` is F(x, y) on all lanes.  A lane replayed
+    # after a raise comes with its own draws and evaluates F itself, so
+    # the witness is the first sample whose F(x, y) or call raises
     x, y = _pair_samples(cfg)
 
-    def measure(x, y):
-        draws = draw(cfg, x, y) if draw else itertools.repeat(())
-        for (x, y, v), d in zip(_blocks(x, y, value()), draws):
-            w = () if call is None else (call(fn, x, y, *d),)
-            yield violation(x, y, v, *w, *d)
-
-    def replay(a, b, *d):
-        fn(a, b)
-        if call is not None:
-            call(fn, a, b, *d)
+    def measure(a, b, *given):
+        if a is x:
+            v, draws = value(), draw(cfg, x, y) if draw else itertools.repeat(())
+        else:
+            v, draws = _lanes(fn(a, b), a), (given,)
+        for (a, b, v), d in zip(_blocks(a, b, v), draws):
+            w = () if call is None else (call(fn, a, b, *d),)
+            yield violation(a, b, v, *w, *d)
 
     def rows():
         return (x, y, *(np.concatenate(c) for c in zip(*draw(cfg, x, y))))
 
-    return _scan(cfg.rel_tol, (x, y), measure, replay, rows=rows if draw else None)
+    return _scan(cfg.rel_tol, (x, y), measure, rows=rows if draw else None)
 
 
 def check_flags(F, cfg: ScanConfig | None = None) -> ScanReport:

@@ -1,6 +1,8 @@
 """The package's public names."""
 
 import invmeans as im
+from invmeans import (complement, errors, iterate, means, multivar, projective, specs,
+                      verify)
 
 
 def test_public_names_are_pinned():
@@ -24,3 +26,14 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in im.__all__:
         assert hasattr(im, name), name
+
+
+def test_the_package_lists_each_module_s_names_once():
+    modules = (complement, errors, iterate, means, multivar, projective, specs, verify)
+    listed = [name for m in modules for name in m.__all__]
+    assert len(set(listed)) == len(listed)
+    assert sorted(im.__all__) == sorted(listed + ["__version__"])
+
+
+def test_a_real_line_pair_is_a_mean_pair():
+    assert im.RealMeanPair is im.MeanPair

@@ -104,8 +104,26 @@ class TestEmptyBlocks:
             for part in (v[:3], v[3:3], v[3:]):
                 yield part, (part,)
 
-        report = _scan(1.0, (v,), measure, None)
+        report = _scan(1.0, (v,), measure)
         assert report == im.ScanReport(False, 3.0, (3.0,), 5, "")
+
+    def test_a_raise_reruns_the_measure_one_lane_at_a_time(self):
+        # the witness is the first lane on which the measure itself raises,
+        # found from fresh one-element copies of the lanes
+        v = np.array([0.5, 2.0, -1.0, 3.0, -2.0])
+        seen = []
+
+        def measure(v):
+            seen.append(v)
+            if np.any(v < 0.0):
+                raise ValueError("negative")
+            yield v, (v,)
+
+        report = _scan(1.0, (v,), measure)
+        assert report == im.ScanReport(False, math.inf, (-1.0,), 5,
+                                       "evaluation failed: negative")
+        assert [a.tolist() for a in seen[1:]] == [[0.5], [2.0], [-1.0]]
+        assert not any(np.shares_memory(a, v) for a in seen[1:])
 
     def test_a_strict_scan_whose_blocks_keep_no_lanes_passes_empty(self):
         # on [1, 1.05] every pair is within |log(x/y)| < 0.1, so each of the

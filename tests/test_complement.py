@@ -381,6 +381,13 @@ class TestTranslativeConjugate:
             N(700.5, 0.0)
         assert np.isfinite(N(700.0, -700.0))
 
+    def test_an_argument_past_the_limit_is_also_a_means_error(self):
+        N = im.translative_conjugate(A)
+        with pytest.raises(im.MeansError, match="700") as info:
+            N(0.0, -700.5)
+        assert isinstance(info.value, im.DomainError)
+        assert isinstance(info.value, OverflowError)
+
     def test_flag_transport(self):
         N = im.translative_conjugate(im.classical("proj1"))
         assert N.translative and N.monotone and not N.symmetric
@@ -441,6 +448,14 @@ class TestTranslativePair:
         y = rng.uniform(-1e3, 1e3, 500)
         assert_allclose(pair.K.fn(x, y), 0.5 * (x + y), rtol=0, atol=0)
         assert pair.K.symmetric
+
+    @pytest.mark.parametrize("t", [-0.5, 0.0, 0.5])
+    def test_the_invariance_scan_passes(self, t):
+        pair = im.translative_pair(im.ARITHMETIC_ON_REALS, t)
+        assert isinstance(pair, im.MeanPair)
+        report = im.check_invariance(pair)
+        assert report.passed, report
+        assert report.worst_violation <= 4e-16
 
     def test_requires_translative_flags(self):
         N = im.translative_conjugate(im.classical("proj1"))

@@ -221,6 +221,22 @@ class TestOverflow:
         xs = np.array([[np.inf, 1e308, 2.0], [1.0, 1e308, 3.0], [1.0, 1e308, 4.0]])
         assert np.array_equal(fn(xs), [np.inf, 1e308, 3.0])
 
+    @pytest.mark.parametrize("n", [3, 8, 9, 16])
+    @pytest.mark.parametrize("make", [im.nary_arithmetic, im.nary_geometric])
+    def test_a_lane_does_not_depend_on_how_the_call_is_batched(self, make, n):
+        # random vectors plus overflowing ones (lanes the arithmetic mean
+        # redoes as max * mean(x / max)); each column evaluated alone, as
+        # an n-vector or an (n, 1) stack, gives the stacked call's bits
+        xs = random_vectors(n, 1000, lo=1e-300, hi=1e300)
+        xs[:, 10:20] = (sys.float_info.max / np.arange(1.0, n + 1.0))[:, None]
+        xs[0, 20:30] = sys.float_info.max
+        fn = make(n).fn
+        stacked = fn(xs)
+        assert np.isfinite(stacked).all()
+        for j in range(xs.shape[1]):
+            assert fn(xs[:, j]) == stacked[j]
+            assert fn(xs[:, j:j + 1])[0] == stacked[j]
+
     @pytest.mark.parametrize("n", [3, 4, 8])
     def test_escape_ratio_at_the_top_of_the_float_range(self, n):
         top = sys.float_info.max
@@ -252,6 +268,23 @@ class TestNaryMeannessScan:
         args = np.asarray(report.witness[:-1])
         value = report.witness[-1]
         assert_allclose(N(args), value, rtol=1e-15)
+
+    def test_a_stacks_only_subject_names_the_raising_column(self):
+        # the subject accepts (n, m) stacks only and raises on every
+        # column with an entry above 5e5; the first such column is the
+        # first ray point (1, x, x) past 5e5
+        def stacks_only(xs):
+            if xs.ndim != 2 or np.any(xs > 5e5):
+                raise ValueError("refused column")
+            return im.nary_arithmetic(3).fn(xs)
+
+        cfg = im.ScanConfig(points_per_axis=16)
+        report = im.check_nary_meanness(im.NaryMean(stacks_only, 3, "stacks"), cfg)
+        ray = np.geomspace(*cfg.domain, 256)
+        first = ray[ray > 5e5][0]
+        assert report.detail == "evaluation failed: refused column"
+        assert report.witness == (1.0, first, first)
+        assert report.samples_checked == 11 * 256
 
     def test_raising_evaluator_reported_not_raised(self):
         def explode(xs):

@@ -471,6 +471,42 @@ class TestFailureReporting:
         if scan == 3:
             assert report.witness[2:] == (ta, tb)
 
+    @pytest.mark.parametrize("j", [0, 9000, -1], ids=["first", "second-block", "last"])
+    def test_a_fused_only_raise_names_its_lane(self, j):
+        # only the pair's fused evaluator raises; K.fn and L.fn run the
+        # kernel they were built with, so the witness must come from the
+        # code the scan ran
+        pair = im.general_pair(G, A, H, 0.5)
+        x, y = _pair_samples(BIG)
+        fused = pair.fused
+
+        def refuse(a, b):
+            if np.any((a == x[j]) & (b == y[j])):
+                raise ValueError("refused lane")
+            return fused(a, b)
+
+        object.__setattr__(pair, "fused", refuse)
+        report = im.check_invariance(pair, BIG)
+        assert report.detail == "evaluation failed: refused lane"
+        assert report.worst_violation == math.inf
+        assert report.witness == (x[j], y[j])
+        assert report.samples_checked == x.size
+
+    def test_a_raise_replays_the_check_on_one_element_arrays(self):
+        # a subject that accepts only arrays, raising on one lane
+        x, y = _pair_samples(CFG)
+        j = 1234
+
+        def arrays_only(a, b):
+            if np.ndim(a) != 1 or np.any((a == x[j]) & (b == y[j])):
+                raise ValueError("refused")
+            return A.fn(a, b)
+
+        for check in (im.check_meanness, im.check_flags):
+            report = check(dataclasses.replace(A, fn=arrays_only), CFG)
+            assert report.detail == "evaluation failed: refused"
+            assert report.witness == (x[j], y[j])
+
     def test_nan_output_is_a_failure_with_detail(self):
         def patchy(x, y):
             return np.where(x > 1e3, np.nan, 0.5 * (x + y))

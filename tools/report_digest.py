@@ -22,6 +22,13 @@ evaluators  the raw evaluators ``.fn`` of every catalog mean, five power
          tiled copy longer than three blocks, 0-d scalars, 0-d against
          1-D and an (18, 1) x (1, 18) outer product; each output's dtype,
          shape and bytes, or its exception class and message
+failures every check on subjects that raise on one planted lane (the
+         first, one in the second block or the middle of a one-block set,
+         the last) at points_per_axis 16 and 32: F(x, y) of the meanness,
+         flag and trace scans, the swapped, scaled and shifted flag calls,
+         a hand-built pair's L, a kernel pair's fused evaluator only, a
+         selection set's membership, an n-ary mean on any shape and on
+         (n, m) stacks only, and a trajectory's target
 
 A report enters a digest as passed, worst violation, samples checked,
 witness and detail.  Running this against two source trees and diffing
@@ -30,6 +37,7 @@ specs family whether it changed how any expression parses.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import struct
@@ -45,6 +53,8 @@ import numpy as np  # noqa: E402
 
 import invmeans as im  # noqa: E402
 from invmeans.means import _BLOCK  # noqa: E402
+from invmeans.verify import (_dominating, _pair_samples, _scale_factors,  # noqa: E402
+                             _trace_samples)
 import workloads as wl  # noqa: E402
 
 
@@ -230,7 +240,84 @@ def evaluators(h) -> int:
     return lanes
 
 
-FAMILIES = {f.__name__: f for f in (sweep, bigscan, iterate, cli, specs, evaluators)}
+def _planted(n: int) -> tuple[int, int, int]:
+    """The first lane, one in the second block (or the middle one), the last."""
+    return 0, _BLOCK + 7 if n > _BLOCK + 7 else n // 2, n - 1
+
+
+def _refusing(fn, *values):
+    """``fn``, raising on a call whose arguments hold ``values`` on one lane."""
+    def refuse(*args):
+        if np.any(np.logical_and.reduce([np.equal(a, v) for a, v in zip(args, values)])):
+            raise ValueError("planted lane")
+        return fn(*args)
+
+    return refuse
+
+
+def _refusing_column(fn, column, stacks_only: bool):
+    """The n-ary ``fn``, raising on the column ``column`` (and on 1-D calls if ``stacks_only``)."""
+    def refuse(xs):
+        if stacks_only and xs.ndim != 2:
+            raise ValueError("stacks only")
+        if np.any(np.all(xs.T == column, axis=-1)):
+            raise ValueError("planted column")
+        return fn(xs)
+
+    return refuse
+
+
+def failures(h) -> int:
+    A, G, H = (im.classical(n) for n in ("arithmetic", "geometric", "harmonic"))
+    F3 = im.nary_arithmetic(3)
+    reports = []
+    for n in (16, 32):
+        cfg = im.ScanConfig(points_per_axis=n)
+        x, y = _pair_samples(cfg)
+        lam = np.concatenate([c for (c,) in _scale_factors(cfg, x, y)])
+        x2, y2 = (np.concatenate(c) for c in zip(*_dominating(cfg, x, y)))
+        for j in _planted(x.size):
+            a, b = x[j], y[j]
+            refuse = _refusing(A.fn, a, b)
+            reports.append(im.check_meanness(im.Mean(refuse, "refusing"), cfg))
+            # F(x, y), then the swapped, scaled and shifted flag calls
+            for fn in (refuse, _refusing(A.fn, b, a),
+                       _refusing(A.fn, lam[j] * a, lam[j] * b),
+                       _refusing(A.fn, x2[j], y2[j])):
+                reports.append(im.check_flags(dataclasses.replace(A, fn=fn), cfg))
+            L = im.Mean(_refusing(H.fn, a, b), "refusing")
+            reports.append(im.check_invariance(im.MeanPair(A, L, target=G), cfg))
+            # only the fused evaluator raises; K.fn and L.fn keep the kernel
+            pair = im.general_pair(G, A, H, 0.5)
+            object.__setattr__(pair, "fused", _refusing(pair.fused, a, b))
+            reports.append(im.check_invariance(pair, cfg))
+            cone = im.ConeSet(_refusing(np.less, a, b), True, True)
+            reports.append(im.check_exchange_property(cone, cfg=cfg))
+        t = _trace_samples(cfg)
+        for j in _planted(t.size):
+            F = dataclasses.replace(A, fn=_refusing(A.fn, t[j], 1.0))
+            reports += [im.check_trace_meanness(F, cfg), im.check_monotone_trace(F, cfg)]
+        seen = []
+        im.check_nary_meanness(im.NaryMean(lambda xs: seen.append(xs) or F3.fn(xs), 3,
+                                           "recording"), cfg)
+        columns = np.concatenate(seen, axis=1).T
+        for j in _planted(len(columns)):
+            for stacks_only in (False, True):
+                F = im.NaryMean(_refusing_column(F3.fn, columns[j], stacks_only), 3,
+                                "refusing")
+                reports.append(im.check_nary_meanness(F, cfg))
+    trace = im.iterate_pair(im.MeanPair(A, H, target=G), 1.0, 4.0)
+    for j in _planted(len(trace.iterates)):
+        target = im.Mean(_refusing(G.fn, *trace.iterates[j]), "refusing")
+        reports.append(im.invariant_value_along_trajectory(
+            im.MeanPair(A, H, target=target), trace))
+    for rep in reports:
+        _report(h, rep)
+    return len(reports)
+
+
+FAMILIES = {f.__name__: f for f in (sweep, bigscan, iterate, cli, specs, evaluators,
+                                    failures)}
 
 
 def main() -> None:
