@@ -3,9 +3,10 @@
 Conventions: bulk data (CSV) goes to stdout, diagnostics to stderr, and
 ``--json`` switches reports to a single JSON object on stdout.  Exit
 status is 0 for success or a passing check, 1 for a failing check, and 2
-for usage, parse, or parameter errors.  The scan commands (check,
-complement) take ``--grid``, ``--tol`` and ``--seed``; seeds default to 0
-and are echoed in every report header so runs can be replayed.
+for usage, parse, or parameter errors, a grid too large to allocate
+among them.  The scan commands (check, complement) take ``--grid``,
+``--tol`` and ``--seed``; seeds default to 0 and are echoed in every
+report header so runs can be replayed.
 Floating-point values print with 17 significant digits; non-finite
 values appear as strings in JSON output.
 """
@@ -287,7 +288,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except (MeansError, OverflowError) as exc:
+    except (MeansError, OverflowError, MemoryError) as exc:
+        # MemoryError: a --grid too large to allocate where the grid is not
+        # a scan's sample set (the complement table)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

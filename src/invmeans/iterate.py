@@ -4,7 +4,9 @@ When the pair is complementary to a strict mean M, the iterates squeeze
 onto the diagonal and the common limit is the M-value of the starting
 pair, because M is constant along the trajectory.  Non-convergence is a
 legitimate outcome (the two coordinate selections fix every pair), so it
-is reported as data rather than raised.
+is reported as data rather than raised.  The verify module's
+``invariant_value_along_trajectory`` checks that M stays constant along a
+trace.
 """
 from __future__ import annotations
 
@@ -15,9 +17,8 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .means import _positive_finite
-from .verify import ScanReport, _blocks, _scan
 
-__all__ = ["IterationTrace", "iterate_pair", "invariant_value_along_trajectory"]
+__all__ = ["IterationTrace", "iterate_pair"]
 
 
 def _relative_gap(x, y):
@@ -103,24 +104,3 @@ def iterate_pair(pair, x0: float, y0: float, rel_stop: float = 1e-14,
         final_gap=final_gap,
         gap_monotone=monotone,
     )
-
-
-def invariant_value_along_trajectory(pair, trace: IterationTrace,
-                                     rel_tol: float = 1e-10) -> ScanReport:
-    """Check that M(x_n, y_n) is constant along an iteration trajectory.
-
-    For a genuinely complementary pair the target value never moves; a
-    drifting value is exactly how a non-complementary pair betrays itself
-    after one step.  ``rel_tol`` must lie in (0, 1).  Witness layout:
-    (n, x_n, y_n, M(x_n, y_n)).
-    """
-    if not (0.0 < float(rel_tol) < 1.0):
-        raise ParameterError("rel_tol must lie in (0, 1)")
-
-    def measure(xs, ys):
-        values = np.asarray(pair.target.fn(xs, ys), dtype=float)
-        for n, xs, ys, v in _blocks(np.arange(values.size), xs, ys, values):
-            yield np.abs(v - values[0]) / abs(values[0]), (n, xs, ys, v)
-
-    return _scan(float(rel_tol), (trace.iterates[:, 0], trace.iterates[:, 1]),
-                 measure)

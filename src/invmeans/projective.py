@@ -5,7 +5,8 @@ selection mean P picks the first argument exactly on members.  Two
 structural facts drive the flags: P is symmetric precisely when the set
 is asymmetric (contains exactly one of (x,y), (y,x) off the diagonal),
 and homogeneous precisely when the set is a cone (closed under positive
-scaling).  Both are declarations here, spot-checked by the verify module.
+scaling).  Both are declarations here, spot-checked by the verify module,
+which also scans the exchange property of ``_selections``.
 
 Five sets ship built in: "full" and "empty" (the coordinate projections),
 "lower" {x < y} and "upper" {x > y} (min and max), and "mixed", an
@@ -18,10 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidMeanSpec
-from .means import Mean, _positive_finite
-from .verify import (DEFAULT_CONFIG, ScanConfig, ScanReport, _blocks, _pair_samples,
-                     _scan)
+from .errors import InvalidMeanSpec
+from .means import Mean
 
 __all__ = [
     "ConeSet",
@@ -29,7 +28,6 @@ __all__ = [
     "builtin_cone",
     "complement_cone",
     "projective_mean",
-    "check_exchange_property",
 ]
 
 
@@ -135,34 +133,3 @@ def projective_mean(A: ConeSet) -> Mean:
         strict=False,
         spec=known,
     )
-
-
-def check_exchange_property(A: ConeSet, samples=None,
-                            cfg: ScanConfig | None = None) -> ScanReport:
-    """Verify {P_A(x,y), P_{A'}(x,y)} == {x, y} as unordered pairs.
-
-    ``samples`` is an optional (m, 2) array of positive finite pairs;
-    without it the scan uses the shared sample set of ``cfg``.  Holds
-    exactly (zero violation) for every selection mean; the scan guards the
-    selection code that the log and xy pairs run rather than the
-    mathematics.  Witness layout: (x, y, P_A, P_{A'}).
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    if samples is None:
-        x, y = _pair_samples(cfg)
-    else:
-        arr = np.asarray(samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise InvalidMeanSpec("samples must be an (m, 2) array of pairs")
-        if not _positive_finite(arr):
-            raise DomainError("samples must be pairs of positive finite reals")
-        x, y = arr[:, 0], arr[:, 1]
-
-    def measure(x, y):
-        for x, y in _blocks(x, y):
-            k, l = _selections(A, x, y)
-            as_given = np.maximum(np.abs(k - x), np.abs(l - y))
-            swapped = np.maximum(np.abs(k - y), np.abs(l - x))
-            yield np.minimum(as_given, swapped) / np.maximum(x, y), (x, y, k, l)
-
-    return _scan(cfg.rel_tol, (x, y), measure)

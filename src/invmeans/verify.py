@@ -1,4 +1,5 @@
-"""Numeric property scans: mean-ness, invariance, trace criteria, flags.
+"""Numeric property scans: mean-ness, invariance, trace criteria, flags,
+the exchange property, n-ary mean-ness and invariance along an iteration.
 
 Every scan walks a deterministic sample set derived from a ScanConfig:
 a log-spaced grid, explicit extreme-ratio probes at 10^k, and a log-uniform
@@ -7,10 +8,11 @@ produce bit-identical reports.  Violations are signed relative magnitudes;
 a report passes exactly when the worst violation stays at or below the
 configured tolerance.
 
-Every check, here and in ``projective``, ``multivar`` and ``iterate``, is
-a ``measure`` generator that yields (violations, witness columns) block by
-block, run by one engine, ``_scan``: numpy warnings silenced, one running
-argmax over the blocks, and an evaluator exception turned into a failed
+Every check of the package lives here, so no other module knows how
+lanes are sampled, blocked and reduced.  Each check is a ``measure``
+generator that yields (violations, witness columns) block by block, run
+by one engine, ``_scan``: numpy warnings silenced, one running argmax
+over the blocks, and an evaluator exception turned into a failed
 report whose witness is the first sample on which the same ``measure``,
 run again one sample at a time, raises.  Non-finite output fails too;
 nothing is raised out of a scan.
@@ -34,7 +36,8 @@ dominating pairs of the monotone scan) are ``low + (high - low) * u`` on
 draws are the same bits, but without its broadcasting path, which costs
 several times as much per lane when ``low`` is an array.  The sample set
 is filled in place: grid, ratio probes, then the supplement, drawn,
-scaled and exponentiated in its slice of the two output arrays.
+scaled and exponentiated in its slice of the two output arrays.  A
+sample set too large to allocate raises ParameterError (``_sized``).
 """
 from __future__ import annotations
 
@@ -42,12 +45,13 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, wraps
 
 import numpy as np
 
+from . import iterate, multivar, projective
 from .errors import DomainError, ParameterError
-from .means import _BLOCK
+from .means import _BLOCK, _positive_finite
 
 __all__ = [
     "ScanConfig",
@@ -58,6 +62,9 @@ __all__ = [
     "check_monotone_trace",
     "check_invariance",
     "check_flags",
+    "check_exchange_property",
+    "check_nary_meanness",
+    "invariant_value_along_trajectory",
 ]
 
 
@@ -143,7 +150,24 @@ def _log_uniform(rng, low, high, out):
     return np.exp(out, out=out)
 
 
+def _sized(sampler):
+    """``sampler(cfg, ...)``, raising ParameterError for a set too large to allocate.
+
+    numpy raises ValueError ("Maximum allowed dimension exceeded") or
+    MemoryError there; the config's other inputs are valid by construction.
+    """
+    @wraps(sampler)
+    def sized(cfg, *args):
+        try:
+            return sampler(cfg, *args)
+        except (ValueError, MemoryError):
+            raise ParameterError(f"points_per_axis={cfg.points_per_axis}: the scan's "
+                                 "samples are too large to allocate") from None
+    return sized
+
+
 @lru_cache(maxsize=1)
+@_sized
 def _pair_samples(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
     """Shared (x, y) sample set: grid + ratio probes + random supplement."""
     lo, hi = cfg.domain
@@ -177,6 +201,7 @@ def _pair_samples(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+@_sized
 def _trace_samples(cfg: ScanConfig) -> np.ndarray:
     lo, hi = cfg.domain
     x = np.geomspace(lo, hi, cfg.points_per_axis ** 2)
@@ -254,6 +279,11 @@ def _scan(tol: float, lanes, measure, samples: int | None = None,
                       count if samples is None else int(samples), detail)
 
 
+def _envelope(lo, hi, v):
+    # signed excursion of v outside [lo, hi], relative to hi
+    return np.maximum(lo - v, v - hi) / hi
+
+
 def check_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
     """Scan min(x,y) <= F(x,y) <= max(x,y) over the configured samples.
 
@@ -264,8 +294,7 @@ def check_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
 
     def measure(x, y):
         for x, y, v in _blocks(x, y, _lanes(F.fn(x, y), x)):
-            mx = np.maximum(x, y)
-            yield np.maximum(np.minimum(x, y) - v, v - mx) / mx, (x, y, v)
+            yield _envelope(np.minimum(x, y), np.maximum(x, y), v), (x, y, v)
 
     return _scan(cfg.rel_tol, _pair_samples(cfg), measure)
 
@@ -346,12 +375,11 @@ def check_monotone_trace(F, cfg: ScanConfig | None = None) -> ScanReport:
     return _trace_scan(F, cfg, measure)
 
 
-# Flag scans.  A scan with a ``call`` makes one call of its own per lane
-# besides the shared F(x, y): ``call(fn, x, y, *draws)``, where ``draws``
-# are the scan's random columns, drawn block by block by
-# ``draw(cfg, x, y)`` when the scan has a ``draw``.  ``violation(x, y, v,
-# [w,] *draws)`` maps v = F(x, y) and the call's result w to (violations,
-# witness columns).
+# Flag scans, one ``(flag, draw, measure)`` entry each in ``_FLAG_SCANS``.
+# ``draw(cfg, x, y)``, where a scan has one, yields its random columns
+# block by block.  ``measure(fn, tol, x, y, v, *draws)`` makes the scan's
+# own call of ``fn``, if it has one, beside the shared v = F(x, y), and
+# maps both to (violations, witness columns).
 
 def _scale_factors(cfg, x, y):
     # log-uniform on [1e-3, 1e3] from one stream, the documented factors
@@ -377,22 +405,22 @@ def _dominating(cfg, x, y):
         yield np.maximum(x2, x, out=x2), np.maximum(y2, y, out=y2)
 
 
-def _symmetric(x, y, v, v2):
-    v2 = _lanes(v2, x)
+def _symmetric(fn, tol, x, y, v):
+    v2 = _lanes(fn(y, x), x)
     return np.abs(v - v2) / np.maximum(x, y), (x, y, v, v2)
 
 
-def _homogeneous(x, y, v, vs, lam):
-    vs = _lanes(vs, x)
+def _homogeneous(fn, tol, x, y, v, lam):
+    vs = _lanes(fn(lam * x, lam * y), x)
     return np.abs(vs - lam * v) / (lam * np.maximum(x, y)), (x, y, lam)
 
 
-def _monotone(x, y, v, v2, x2, y2):
-    v2 = _lanes(v2, x)
+def _monotone(fn, tol, x, y, v, x2, y2):
+    v2 = _lanes(fn(x2, y2), x)
     return (v - v2) / np.abs(v2), (x, y, x2, y2)
 
 
-def _strict(tol, x, y, v):
+def _strict(fn, tol, x, y, v):
     # strictness is only meaningful away from the diagonal; require the
     # margin to clear the tolerance at well-separated arguments, scaling
     # each side by its own envelope endpoint (a mean may legitimately hug
@@ -405,21 +433,18 @@ def _strict(tol, x, y, v):
     return 2.0 * tol - margin, (x, y, v)
 
 
-def _flag_scans(tol):
-    # (flag, draw, call, violation) in declaration order
-    return (
-        ("symmetric", None, lambda fn, x, y: fn(y, x), _symmetric),
-        ("homogeneous", _scale_factors,
-         lambda fn, x, y, lam: fn(lam * x, lam * y), _homogeneous),
-        ("monotone", _dominating, lambda fn, x, y, x2, y2: fn(x2, y2), _monotone),
-        ("strict", None, None, lambda x, y, v: _strict(tol, x, y, v)),
-    )
+_FLAG_SCANS = (
+    ("symmetric", None, _symmetric),
+    ("homogeneous", _scale_factors, _homogeneous),
+    ("monotone", _dominating, _monotone),
+    ("strict", None, _strict),
+)
 
 
-def _flag_scan(fn, cfg, value, draw, call, violation) -> ScanReport:
+def _flag_scan(fn, cfg, value, draw, flag_measure) -> ScanReport:
     # one flag scan; ``value()`` is F(x, y) on all lanes.  A lane replayed
     # after a raise comes with its own draws and evaluates F itself, so
-    # the witness is the first sample whose F(x, y) or call raises
+    # the witness is the first sample whose F(x, y) or own call raises
     x, y = _pair_samples(cfg)
 
     def measure(a, b, *given):
@@ -428,8 +453,7 @@ def _flag_scan(fn, cfg, value, draw, call, violation) -> ScanReport:
         else:
             v, draws = _lanes(fn(a, b), a), (given,)
         for (a, b, v), d in zip(_blocks(a, b, v), draws):
-            w = () if call is None else (call(fn, a, b, *d),)
-            yield violation(a, b, v, *w, *d)
+            yield flag_measure(fn, cfg.rel_tol, a, b, v, *d)
 
     def rows():
         return (x, y, *(np.concatenate(c) for c in zip(*draw(cfg, x, y))))
@@ -452,10 +476,10 @@ def check_flags(F, cfg: ScanConfig | None = None) -> ScanReport:
     x, y = _pair_samples(cfg)
     value = cache(lambda: _lanes(F.fn(x, y), x))
     sub_reports = []
-    for name, draw, call, violation in _flag_scans(cfg.rel_tol):
+    for name, draw, flag_measure in _FLAG_SCANS:
         if not getattr(F, name):
             continue
-        rep = _flag_scan(F.fn, cfg, value, draw, call, violation)
+        rep = _flag_scan(F.fn, cfg, value, draw, flag_measure)
         if rep.detail.startswith(_FAILED):
             return rep
         if not rep.passed:
@@ -466,3 +490,88 @@ def check_flags(F, cfg: ScanConfig | None = None) -> ScanReport:
     worst = max(sub_reports, key=lambda r: r.worst_violation)
     total = sum(r.samples_checked for r in sub_reports)
     return ScanReport(True, worst.worst_violation, worst.witness, total, "")
+
+
+def check_exchange_property(A: projective.ConeSet, samples=None,
+                            cfg: ScanConfig | None = None) -> ScanReport:
+    """Verify {P_A(x,y), P_{A'}(x,y)} == {x, y} as unordered pairs.
+
+    ``samples`` is an optional (m, 2) array of positive finite pairs;
+    without it the scan uses the shared sample set of ``cfg``.  Holds
+    exactly (zero violation) for every selection mean; the scan guards the
+    selection code that the log and xy pairs run rather than the
+    mathematics.  Witness layout: (x, y, P_A, P_{A'}).
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    if samples is None:
+        x, y = _pair_samples(cfg)
+    else:
+        arr = np.asarray(samples, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 2 or not _positive_finite(arr):
+            raise DomainError("samples must be an (m, 2) array of positive finite pairs")
+        x, y = arr[:, 0], arr[:, 1]
+
+    def measure(x, y):
+        for x, y in _blocks(x, y):
+            # looked up on the module at call time, so the scan runs the
+            # selection code that the log and xy pairs run
+            k, l = projective._selections(A, x, y)
+            as_given = np.maximum(np.abs(k - x), np.abs(l - y))
+            swapped = np.maximum(np.abs(k - y), np.abs(l - x))
+            yield np.minimum(as_given, swapped) / np.maximum(x, y), (x, y, k, l)
+
+    return _scan(cfg.rel_tol, (x, y), measure)
+
+
+@_sized
+def _nary_samples(cfg: ScanConfig, n: int) -> np.ndarray:
+    # (n, 11 m) columns: the ray (1, x, ..., x) on the m trace samples,
+    # then 10 m log-uniform vectors
+    lo, hi = cfg.domain
+    m = cfg.points_per_axis ** 2
+    ray = np.ones((n, m))
+    ray[1:, :] = _trace_samples(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    rand = _log_uniform(rng, np.log(lo), np.log(hi), np.empty((n, 10 * m)))
+    return np.concatenate([ray, rand], axis=1)
+
+
+def check_nary_meanness(F: multivar.NaryMean,
+                        cfg: ScanConfig | None = None) -> ScanReport:
+    """Scan min <= F <= max over the ray (1, x, ..., x) plus random vectors.
+
+    The ray is where the failing family of ``multivar`` escapes, so it is
+    sampled densely (points_per_axis**2 values of x over the domain); the
+    random supplement draws 10x that many log-uniform vectors.  Witness
+    layout: (x_1, ..., x_n, F(x)).
+    """
+    cfg = cfg or DEFAULT_CONFIG
+
+    def measure(*rows):
+        for block in _blocks(*rows):
+            b = np.stack(block)
+            v = np.asarray(F.fn(b), dtype=float)
+            yield _envelope(b.min(axis=0), b.max(axis=0), v), block + (v,)
+
+    return _scan(cfg.rel_tol, tuple(_nary_samples(cfg, F.n)), measure)
+
+
+def invariant_value_along_trajectory(pair, trace: iterate.IterationTrace,
+                                     rel_tol: float = 1e-10) -> ScanReport:
+    """Check that M(x_n, y_n) is constant along an iteration trajectory.
+
+    For a genuinely complementary pair the target value never moves; a
+    drifting value is exactly how a non-complementary pair betrays itself
+    after one step.  ``rel_tol`` must lie in (0, 1).  Witness layout:
+    (n, x_n, y_n, M(x_n, y_n)).
+    """
+    if not (0.0 < float(rel_tol) < 1.0):
+        raise ParameterError("rel_tol must lie in (0, 1)")
+
+    def measure(xs, ys):
+        values = np.asarray(pair.target.fn(xs, ys), dtype=float)
+        for n, xs, ys, v in _blocks(np.arange(values.size), xs, ys, values):
+            yield np.abs(v - values[0]) / abs(values[0]), (n, xs, ys, v)
+
+    return _scan(float(rel_tol), (trace.iterates[:, 0], trace.iterates[:, 1]),
+                 measure)

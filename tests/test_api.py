@@ -1,4 +1,7 @@
-"""The package's public names."""
+"""The package's public names and the one module that runs scans."""
+
+import ast
+from pathlib import Path
 
 import invmeans as im
 from invmeans import (complement, errors, iterate, means, multivar, projective, specs,
@@ -37,3 +40,30 @@ def test_the_package_lists_each_module_s_names_once():
 
 def test_a_real_line_pair_is_a_mean_pair():
     assert im.RealMeanPair is im.MeanPair
+
+
+# the private scan engine: the samplers, the block iterator and the reducer
+ENGINE = {"_scan", "_blocks", "_pair_samples", "_log_uniform", "_trace_samples"}
+
+
+def _names(path):
+    """Every identifier a module binds, reads, imports or takes as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (alias.name for alias in node.names)
+
+
+def test_only_verify_knows_the_scan_engine():
+    package = Path(im.__file__).parent
+    users = {path.name: ENGINE & set(_names(path)) for path in package.glob("*.py")}
+    assert {name for name, used in users.items() if used} == {"verify.py"}
+    assert users["verify.py"] == ENGINE
+    for name in ("projective.py", "multivar.py", "iterate.py"):
+        assert "verify" not in set(_names(package / name)), name

@@ -142,6 +142,21 @@ class TestCheck:
         assert code == 2
         assert "points_per_axis" in err
 
+    # 1e11 points per axis pass numpy's largest dimension (ValueError);
+    # 3e6 ask for a 720 TiB pair sample set, past any address space, so
+    # no allocation grants it (MemoryError)
+    @pytest.mark.parametrize("what, n", [
+        ("mean", "100000000000"), ("mean", "3000000"), ("flags", "3000000"),
+        ("trace", "100000000000"),
+    ])
+    def test_a_grid_too_large_to_allocate_exits_2(self, capsys, what, n):
+        code, out, err = run(capsys, [
+            "check", "--what", what, "--mean", "arithmetic",
+            "--grid", f"1e-6:1e6:{n}"])
+        assert (code, out) == (2, "")
+        assert err == (f"error: points_per_axis={n}: the scan's samples are too "
+                       "large to allocate\n")
+
 
 class TestComplement:
     def test_table_layout(self, capsys):
@@ -166,6 +181,14 @@ class TestComplement:
         assert err.splitlines()[0].startswith("# complement pair=")
         first = [float(v) for v in lines[1].split(",")]
         assert len(first) == 7
+
+    def test_a_csv_grid_too_large_to_allocate_exits_2(self, capsys):
+        # 1e14 points per axis ask for 800 TB, past any address space
+        code, out, err = run(capsys, [
+            "complement", "--mean", "arithmetic", "--t", "0.5", "--emit", "csv",
+            "--grid", "1e-6:1e6:100000000000000"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
     def test_residuals_are_small(self, capsys):
         _, out, _ = run(capsys, [
@@ -293,6 +316,13 @@ class TestCounterexample:
             "counterexample", "--n", "2", "--t", "0.5", "--x", "1e8"])
         assert code == 2
         assert "needs n >= 3" in err
+
+    def test_an_n_past_the_bound_exits_2(self, capsys):
+        # 10**23 does not fit an index; the bound is checked first
+        code, out, err = run(capsys, [
+            "counterexample", "--n", "100000000000000000000000", "--t", "0.5",
+            "--x", "2"])
+        assert (code, out, err) == (2, "", "error: the escape ratio takes n <= 1000\n")
 
     @pytest.mark.parametrize("x", ["inf", "nan"])
     def test_nonfinite_x_exits_2(self, capsys, x):

@@ -190,6 +190,13 @@ class TestEscapeRatio:
             with pytest.raises(im.ParameterError, match="x > 0"):
                 im.counterexample_ratio(3, 0.5, bad)
 
+    def test_n_is_bounded(self):
+        # the cost grows like n**2; the bound itself is accepted
+        assert im.counterexample_ratio(1000, 0.5, 1.0) == 1.0
+        for n in (1001, 10**23):
+            with pytest.raises(im.ParameterError, match="n <= 1000"):
+                im.counterexample_ratio(n, 0.5, 2.0)
+
 
 class TestOverflow:
     # tier-1 turns RuntimeWarning into an error, so these also show that

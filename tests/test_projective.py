@@ -123,7 +123,7 @@ class TestExchangeProperty:
             im.projective_mean(im.complement_cone(A)).fn(x, y), second)
 
     def test_samples_shape_validated(self):
-        with pytest.raises(im.InvalidMeanSpec, match=r"\(m, 2\)"):
+        with pytest.raises(im.DomainError, match=r"\(m, 2\)"):
             im.check_exchange_property(im.builtin_cone("full"),
                                        samples=np.ones(7))
 

@@ -183,6 +183,23 @@ class TestSampling:
         got_x2, got_y2 = (np.concatenate(c) for c in zip(*_dominating(N192, x, y)))
         assert np.array_equal(got_x2, x2) and np.array_equal(got_y2, y2)
 
+    # 1e11 points per axis pass numpy's largest dimension (ValueError);
+    # 2e7 ask for petabytes in every sampler, past any address space, so
+    # no allocation grants them (MemoryError)
+    @pytest.mark.parametrize("n", [10**11, 2 * 10**7])
+    @pytest.mark.parametrize("check", [
+        lambda cfg: im.check_meanness(A, cfg),
+        lambda cfg: im.check_invariance(im.general_pair(A, A, G, 0.5), cfg),
+        lambda cfg: im.check_flags(A, cfg),
+        lambda cfg: im.check_trace_meanness(A, cfg),
+        lambda cfg: im.check_monotone_trace(A, cfg),
+        lambda cfg: im.check_exchange_property(im.builtin_cone("lower"), cfg=cfg),
+        lambda cfg: im.check_nary_meanness(im.nary_arithmetic(3), cfg),
+    ])
+    def test_a_sample_set_too_large_to_allocate_is_a_parameter_error(self, check, n):
+        with pytest.raises(im.ParameterError, match=f"points_per_axis={n}: .* too large"):
+            check(im.ScanConfig(points_per_axis=n))
+
     @pytest.mark.parametrize("cfg", [
         im.DEFAULT_CONFIG, N192, im.ScanConfig(domain=ODD_DOMAINS[0], points_per_axis=8),
     ])
@@ -353,7 +370,7 @@ def _earlier_strict(tol, x, y, v):
 def test_strict_violations_equal_the_earlier_formula(cfg, name):
     x, y = _pair_samples(cfg)
     v = im.classical(name).fn(x, y)
-    got, got_cols = _strict(cfg.rel_tol, x, y, v)
+    got, got_cols = _strict(None, cfg.rel_tol, x, y, v)
     want, want_cols = _earlier_strict(cfg.rel_tol, x, y, v)
     assert np.array_equal(got, want)
     assert all(np.array_equal(g, w) for g, w in zip(got_cols, want_cols, strict=True))
