@@ -27,7 +27,9 @@ lane for an ``np.where`` to throw away.  Scans sample log-uniform
 pairs, so those lanes are rare.  A scalar call takes the same path:
 ``_patch`` replaces a 0-d result whole.  The power mean takes one power
 per lane: the term of the argument it factors out is exactly 1.  Both
-give the same bits as computing every branch and selecting one.
+give the same bits as computing every branch and selecting one.  For
+|p| < 1e-2 the power mean takes an expm1/log1p form instead, chosen
+once when it is built, which keeps its relative accuracy as p goes to 0.
 
 The catalog (``_catalog``) is homogeneous and monotone, and each of its
 means is labelled by its spec.
@@ -270,16 +272,31 @@ def _proj2_fn(x, y):
     return np.broadcast_arrays(x, y)[1]
 
 
+# |p| below which the power mean takes its expm1/log1p form
+_SMALL_POWER = 1e-2
+
+
 def _power_fn(p: float):
     big, other = (np.maximum, np.minimum) if p > 0 else (np.minimum, np.maximum)
+    if abs(p) < _SMALL_POWER:
+        # ((1 + r**p)/2)**(1/p) rounds (1 + r**p)/2 to within 1e-16 of 1,
+        # and the 1/p power multiplies that error by 1/|p|; with r**p - 1
+        # taken as expm1(p log r) and the 1/p power as exp(log1p(.)/p) the
+        # relative accuracy holds as p goes to 0
+        def factor(b, r):
+            return np.exp(np.log1p(0.5 * np.expm1(p * np.log(r))) / p)
+    else:
+        # the term of b itself, (b/b)**p, is b/b: exactly 1.0 on finite
+        # nonzero b, so it costs no power
+        def factor(b, r):
+            return _pow(0.5 * (b / b + _pow(r, p)), 1.0 / p)
 
     def fn(x, y):
         # factor out b = max(x, y) (min for p < 0) so the power stays in
-        # (0, 1].  The term of b itself, (b/b)**p, is b/b: exactly 1.0 on
-        # finite nonzero b, so it costs no power.  Where b is 0 or inf the
-        # factored form is nan and the mean's limit is b itself
+        # (0, 1].  Where b is 0 or inf the factored form breaks down
+        # (nan, 0 or inf) and the mean's limit is b itself
         b = big(x, y)
-        out = b * _pow(0.5 * (b / b + _pow(other(x, y) / b, p)), 1.0 / p)
+        out = b * factor(b, other(x, y) / b)
         return _patch(out, (b == 0.0) | (b == np.inf), lambda b: b, b)
 
     return _blockwise(fn)

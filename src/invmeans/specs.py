@@ -19,10 +19,21 @@ maps to the readers of its arguments and the constructor they feed.
 "pair:..." produces a MeanPair, everything else a Mean.  Parse errors
 carry the character position of the offending token; range violations
 from the underlying constructors (e.g. stolarsky:1:1) surface verbatim.
+
+Each (expression, offset) is parsed once: ``_parse`` keeps the latest
+``_PARSED`` results in an LRU cache, so a spec parsed again, and a
+parenthesized operand at the same offset of another spec, such as
+``(stolarsky:3:1)`` in ``pair:(stolarsky:3:1):...``, return the same
+object.  Parsed means and pairs are therefore shared: they are frozen,
+and nothing may write to them (the constructors, which the parser
+calls, stay uncached and build a fresh object on every call).  A raise
+is never cached, so a malformed spec raises with the same message and
+position on every call.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .complement import MeanPair, general_base, general_pair, self_complement_base
 from .errors import InvalidMeanSpec
@@ -94,6 +105,13 @@ _HEADS = {
 }
 
 
+# the size of re's pattern cache; repeated specs are mostly parsed back
+# to back (a sweep parses each pair's spec for its K, L and invariance
+# rows), so their hits do not depend on the bound
+_PARSED = 512
+
+
+@lru_cache(maxsize=_PARSED)
 def _parse(s: str, offset: int) -> Mean | MeanPair:
     (head, pos), *args = _split(s, offset)
     if not args:

@@ -27,7 +27,8 @@ other (adjacent trace values, a trajectory's first value) evaluate on
 all lanes first and stream elementwise columns.  Reports do not depend on
 the block size.  The invariance scan takes K, L and M(x, y) from the
 pair's fused evaluator (``MeanPair.evaluate``).  Only the latest pair
-sample set stays cached.
+sample set stays cached (``_latest``), and it is dropped before the next
+one is built, so a fresh config never holds two sets.
 
 Random draws (the supplement, the homogeneity scale factors and the
 dominating pairs of the monotone scan) are ``low + (high - low) * u`` on
@@ -45,7 +46,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, wraps
+from functools import cache, wraps
 
 import numpy as np
 
@@ -166,7 +167,25 @@ def _sized(sampler):
     return sized
 
 
-@lru_cache(maxsize=1)
+def _latest(build):
+    """``build(cfg)``, cached for the latest cfg only.
+
+    The previous result is dropped before the next one is built, so the
+    cache never holds two sets (``lru_cache(maxsize=1)`` would keep the
+    old set alive until the new one is stored).
+    """
+    slot: dict = {}
+
+    @wraps(build)
+    def latest(cfg):
+        if cfg not in slot:
+            slot.clear()
+            slot[cfg] = build(cfg)
+        return slot[cfg]
+    return latest
+
+
+@_latest
 @_sized
 def _pair_samples(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
     """Shared (x, y) sample set: grid + ratio probes + random supplement."""

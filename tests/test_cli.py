@@ -322,7 +322,7 @@ class TestCounterexample:
         code, out, err = run(capsys, [
             "counterexample", "--n", "100000000000000000000000", "--t", "0.5",
             "--x", "2"])
-        assert (code, out, err) == (2, "", "error: the escape ratio takes n <= 1000\n")
+        assert (code, out, err) == (2, "", "error: the escape ratio takes n <= 100000\n")
 
     @pytest.mark.parametrize("x", ["inf", "nan"])
     def test_nonfinite_x_exits_2(self, capsys, x):

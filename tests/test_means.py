@@ -275,6 +275,34 @@ class TestStolarskyIdentities:
         assert_allclose(lhs, rhs, rtol=1e-10)
 
 
+class TestSmallPower:
+    # ((x**p + y**p)/2)**(1/p) rounds (1 + r**p)/2 to within 1e-16 of 1,
+    # and the 1/p power multiplies that error by 1/|p|: the direct form
+    # read 8.7e-11 at p = 1e-6 and the max at p = 1e-300
+
+    @staticmethod
+    def mp_power(p, x, y):
+        with mpmath.workdps(int(-np.log10(abs(p))) + 60):
+            pp = mpmath.mpf(p)
+            return ((mpmath.mpf(x) ** pp + mpmath.mpf(y) ** pp) / 2) ** (1 / pp)
+
+    @pytest.mark.parametrize(
+        "p", [9.99e-3, -9.99e-3, 1e-3, 1e-6, 1e-10, 1e-15, 1e-300, -1e-300])
+    def test_relative_error_against_mpmath(self, p):
+        rng = np.random.default_rng(17)
+        x, y = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), (2, 100)))
+        got = im.power_mean(p)(x, y)
+        worst = 0.0
+        for a, b, v in zip(x, y, got):
+            exact = self.mp_power(p, a, b)
+            worst = max(worst, abs(float((mpmath.mpf(v) - exact) / exact)))
+        assert worst <= 5e-15
+
+    def test_a_vanishing_exponent_gives_the_geometric_mean(self):
+        assert_allclose(im.power_mean(1e-300)(1.0, 4.0), 2.0, rtol=1e-15)
+        assert_allclose(im.power_mean(-1e-300)(1.0, 4.0), 2.0, rtol=1e-15)
+
+
 class TestNearDiagonalAccuracy:
     # gaps straddling the series cutover at relative width 1e-8
     GAPS = (1e-6, 1e-7, 2e-8, 1e-8, 5e-9, 1e-9, 1e-12, 0.0)

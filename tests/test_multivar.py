@@ -150,6 +150,45 @@ class TestInvariantTuple:
         assert all(K.n == 3 for K in out)
 
 
+def _counting(M, calls):
+    """``M`` under another label, counting the calls of its evaluator."""
+    def fn(xs):
+        calls[label] += 1
+        return M.fn(xs)
+
+    label = f"counting.{M.label}"
+    calls[label] = 0
+    return im.NaryMean(fn, M.n, label)
+
+
+class TestRepeatedComponents:
+    # a component named by several rows is evaluated once per kernel call
+
+    def test_each_distinct_component_runs_once(self):
+        calls = {}
+        A5, G5 = im.nary_arithmetic(5), im.nary_geometric(5)
+        CA, CG = _counting(A5, calls), _counting(G5, calls)
+        components = (CG, CA, CG, CG, CA)
+        xs = random_vectors(5, 100, seed=3)
+        base = im.nary_general_base(A5, components, 0.5)
+        tuple_means = im.nary_invariant_tuple(A5, components, 0.5)
+        base.fn(xs)
+        assert calls == {CA.label: 1, CG.label: 1}
+        tuple_means[2].fn(xs)
+        assert calls == {CA.label: 2, CG.label: 2}
+
+    def test_rows_keep_their_positions(self):
+        # one counting copy of G4 stands in the two G4 rows, so every K_i
+        # sees its own component in its own row
+        A4, G4 = im.nary_arithmetic(4), im.nary_geometric(4)
+        CG = _counting(G4, {})
+        xs = random_vectors(4, 500, seed=11)
+        plain = im.nary_invariant_tuple(G4, (A4, G4, G4, A4), 0.3)
+        counted = im.nary_invariant_tuple(G4, (A4, CG, CG, A4), 0.3)
+        for K, Kc in zip(plain, counted):
+            assert np.array_equal(K.fn(xs), Kc.fn(xs))
+
+
 class TestEscapeRatio:
     def test_matches_the_closed_form(self):
         for n, t, x in [(3, 0.5, 1e8), (5, 0.5, 1e10), (3, 0.25, 1e6),
@@ -191,10 +230,10 @@ class TestEscapeRatio:
                 im.counterexample_ratio(3, 0.5, bad)
 
     def test_n_is_bounded(self):
-        # the cost grows like n**2; the bound itself is accepted
-        assert im.counterexample_ratio(1000, 0.5, 1.0) == 1.0
-        for n in (1001, 10**23):
-            with pytest.raises(im.ParameterError, match="n <= 1000"):
+        # the cost grows like n; the bound itself is accepted
+        assert im.counterexample_ratio(100_000, 0.5, 1.0) == 1.0
+        for n in (100_001, 10**23):
+            with pytest.raises(im.ParameterError, match=r"n <= 100000$"):
                 im.counterexample_ratio(n, 0.5, 2.0)
 
 

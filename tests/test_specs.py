@@ -175,8 +175,10 @@ class TestParseErrors:
                 "mt:(pair:arithmetic:arithmetic:harmonic:0.5):0.5")
 
     def test_constructor_range_errors_surface_verbatim(self):
-        with pytest.raises(im.ParameterError, match="requires r != s"):
-            im.parse_mean_spec("stolarsky:1:1")
+        # on every call, whole or as an operand: a raise is never cached
+        for text in ("stolarsky:1:1", "pair:(stolarsky:1:1):min:max:0.5") * 2:
+            with pytest.raises(im.ParameterError, match="requires r != s"):
+                im.parse_mean_spec(text)
         with pytest.raises(im.ParameterError, match="0 < t < 1"):
             im.parse_mean_spec("nt:arithmetic:min:max:1.5")
 
@@ -199,10 +201,12 @@ class TestPrecedence:
 
     @pytest.mark.parametrize("text, message, position", CASES)
     def test_first_error_and_its_position(self, text, message, position):
-        with pytest.raises(im.InvalidMeanSpec) as info:
-            im.parse_mean_spec(text)
-        assert str(info.value) == f"{message} (at position {position})"
-        assert info.value.position == position
+        # twice: a raise is never cached, so every call raises alike
+        for _ in range(2):
+            with pytest.raises(im.InvalidMeanSpec) as info:
+                im.parse_mean_spec(text)
+            assert str(info.value) == f"{message} (at position {position})"
+            assert info.value.position == position
 
     def test_only_whole_groups_are_stripped(self):
         assert im.parse_mean_spec("((mt:((geometric)):0.5))").spec == "mt:geometric:0.5"
@@ -228,3 +232,34 @@ class TestStrictParsers:
             im.parse_pair("arithmetic")
         pair = im.parse_pair("pair:arithmetic:min:max:0.5")
         assert isinstance(pair, im.MeanPair)
+
+
+class TestParseCache:
+    # each (expression, offset) is parsed once; raises are never cached
+
+    def test_a_spec_parsed_again_is_the_same_object(self):
+        s = "pair:(power:3):arithmetic:harmonic:0.25"
+        assert im.parse_pair(s) is im.parse_pair(s)
+        assert im.parse_mean("stolarsky:2:-1") is im.parse_mean("stolarsky:2:-1")
+
+    def test_a_shared_operand_is_built_once(self):
+        first = im.parse_pair("pair:(stolarsky:3:1):arithmetic:harmonic:0.5")
+        second = im.parse_pair("pair:(stolarsky:3:1):min:max:0.75")
+        assert first is not second
+        assert first.target is second.target
+
+    def test_an_operand_seen_at_another_offset_reports_its_own_position(self):
+        # the operands are parsed whole first, at offset 0, then inside
+        # specs where they and their bad tokens lie further right
+        im.parse_mean("(stolarsky:3:1)")
+        with pytest.raises(im.InvalidMeanSpec) as info:
+            im.parse_mean_spec("stolarsky:3:x")
+        assert info.value.position == 12
+        for text, position in (
+            ("pair:(stolarsky:3:x):arithmetic:harmonic:0.5", 18),
+            ("pair:(stolarsky:3:1):arithmetic:harmonic:x", 41),
+            ("nt:arithmetic:(stolarsky:3:x):harmonic:0.5", 27),
+        ):
+            with pytest.raises(im.InvalidMeanSpec) as info:
+                im.parse_mean_spec(text)
+            assert info.value.position == position, text

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,20 @@ class TestSampling:
     def test_a_sample_set_too_large_to_allocate_is_a_parameter_error(self, check, n):
         with pytest.raises(im.ParameterError, match=f"points_per_axis={n}: .* too large"):
             check(im.ScanConfig(points_per_axis=n))
+
+    def test_a_new_set_is_built_after_the_old_one_is_dropped(self):
+        # the cache holds one set; the previous one must be gone before
+        # the next is allocated, or a fresh config briefly holds two
+        first, second = (im.ScanConfig(points_per_axis=128, seed=s) for s in (901, 902))
+        tracemalloc.start()
+        try:
+            one_set = sum(v.nbytes for v in _pair_samples(first))
+            tracemalloc.reset_peak()
+            _pair_samples(second)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert one_set <= peak < 1.5 * one_set
 
     @pytest.mark.parametrize("cfg", [
         im.DEFAULT_CONFIG, N192, im.ScanConfig(domain=ODD_DOMAINS[0], points_per_axis=8),

@@ -29,6 +29,13 @@ failures every check on subjects that raise on one planted lane (the
          a hand-built pair's L, a kernel pair's fused evaluator only, a
          selection set's membership, an n-ary mean on any shape and on
          (n, m) stacks only, and a trajectory's target
+escape   ``counterexample_ratio`` for n in {3, 4, 10, 100, 300}, t in
+         {0.25, 0.5, 0.75} and x in {1, 10, 1e4, 1e300}, and the base and
+         every tuple component of n-ary families whose components repeat
+         (n = 3, 5, 8, M arithmetic or geometric, seeded components and
+         (n, 1000) stacks, t in {0.25, 0.5, 0.75}), each digested as its
+         output's bytes; about 0.1 s where each distinct component runs
+         once, 1.6 s where each row evaluates its own (an O(n**2) cost)
 
 A report enters a digest as passed, worst violation, samples checked,
 witness and detail.  Running this against two source trees and diffing
@@ -316,8 +323,29 @@ def failures(h) -> int:
     return len(reports)
 
 
+def escape(h) -> int:
+    lanes = 0
+    for n in (3, 4, 10, 100, 300):
+        for t in (0.25, 0.5, 0.75):
+            for x in (1.0, 10.0, 1e4, 1e300):
+                h.update(struct.pack("<d", im.counterexample_ratio(n, t, x)))
+                lanes += 1
+    # families whose components repeat, on seeded (n, m) stacks
+    rng = np.random.default_rng(1)
+    for n in (3, 5, 8):
+        A, G = im.nary_arithmetic(n), im.nary_geometric(n)
+        xs = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), (n, 1000)))
+        for M in (A, G):
+            components = tuple((A, G)[i] for i in rng.integers(0, 2, n))
+            for t in (0.25, 0.5, 0.75):
+                lanes += _evaluator_outcome(h, im.nary_general_base(M, components, t).fn, xs)
+                for K in im.nary_invariant_tuple(M, components, t):
+                    lanes += _evaluator_outcome(h, K.fn, xs)
+    return lanes
+
+
 FAMILIES = {f.__name__: f for f in (sweep, bigscan, iterate, cli, specs, evaluators,
-                                    failures)}
+                                    failures, escape)}
 
 
 def main() -> None:
