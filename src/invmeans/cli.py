@@ -52,8 +52,12 @@ def _jsonify(obj):
     return obj
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(_jsonify(payload)))
+def _emit(args, fields: dict, lines: list[str]) -> None:
+    """Write a report: ``fields`` as one JSON object, or the text ``lines``."""
+    if args.json:
+        print(json.dumps(_jsonify(fields)))
+    else:
+        print("\n".join(lines))
 
 
 def _emit_table(args, fields: dict, notes: list[str], columns: list[str],
@@ -67,7 +71,7 @@ def _emit_table(args, fields: dict, notes: list[str], columns: list[str],
     cell prints as is, every other cell with 17 significant digits.
     """
     if args.json:
-        _print_json({**fields, "columns": columns, "rows": rows})
+        _emit(args, {**fields, "columns": columns, "rows": rows}, [])
         return 0
     csv = args.emit == "csv"
     sep, aside = ("," if csv else " "), (sys.stderr if csv else sys.stdout)
@@ -98,10 +102,8 @@ def _scan_config(args) -> ScanConfig:
 def _cmd_eval(args) -> int:
     F = parse_mean(args.mean)
     value = F(args.x, args.y)
-    if args.json:
-        _print_json({"mean": args.mean, "x": args.x, "y": args.y, "value": value})
-    else:
-        print(_fmt(value))
+    _emit(args, {"mean": args.mean, "x": args.x, "y": args.y, "value": value},
+          [_fmt(value)])
     return 0
 
 
@@ -123,21 +125,16 @@ def _cmd_check(args) -> int:
         print(f"error: --what {args.what} requires --{arg}", file=sys.stderr)
         return 2
     report = check(parse(subject), cfg)
-    if args.json:
-        payload = {"check": args.what, "subject": subject}
-        payload.update(report.to_dict())
-        payload.update({"seed": cfg.seed, "tol": cfg.rel_tol, "grid": args.grid})
-        _print_json(payload)
-    else:
-        print(f"# check={args.what} subject={subject} seed={cfg.seed} "
-              f"tol={_fmt(cfg.rel_tol)} grid={args.grid}")
-        witness = ",".join(_fmt(w) for w in report.witness)
-        line = (f"{'pass' if report.passed else 'FAIL'} "
-                f"worst_violation={_fmt(report.worst_violation)} "
-                f"witness={witness} samples={report.samples_checked}")
-        if report.detail:
-            line += f" detail={report.detail!r}"
-        print(line)
+    fields = {"check": args.what, "subject": subject, **report.to_dict(),
+              "seed": cfg.seed, "tol": cfg.rel_tol, "grid": args.grid}
+    witness = ",".join(_fmt(w) for w in report.witness)
+    line = (f"{'pass' if report.passed else 'FAIL'} "
+            f"worst_violation={_fmt(report.worst_violation)} "
+            f"witness={witness} samples={report.samples_checked}")
+    if report.detail:
+        line += f" detail={report.detail!r}"
+    _emit(args, fields, [f"# check={args.what} subject={subject} seed={cfg.seed} "
+                         f"tol={_fmt(cfg.rel_tol)} grid={args.grid}", line])
     return 0 if report.passed else 1
 
 
@@ -205,12 +202,8 @@ def _cmd_iterate(args) -> int:
 def _cmd_counterexample(args) -> int:
     ratio = counterexample_ratio(args.n, args.t, args.x)
     limit = float(args.n - 1)
-    if args.json:
-        _print_json({"n": args.n, "t": args.t, "x": args.x,
-                     "ratio": ratio, "limit": limit})
-    else:
-        print(f"ratio={_fmt(ratio)}")
-        print(f"limit={_fmt(limit)}")
+    _emit(args, {"n": args.n, "t": args.t, "x": args.x, "ratio": ratio, "limit": limit},
+          [f"ratio={_fmt(ratio)}", f"limit={_fmt(limit)}"])
     return 0
 
 

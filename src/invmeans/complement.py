@@ -24,11 +24,17 @@ flag and spec policy:
 * ``self_complement_base``: the coordinates (x, y), giving the
   self-complementary kernel M_t = (M / M(x^t, y^t))^(1/(1-t)).
 
+The selection pairs take their spec from the selection means' own specs
+(``projective_mean``), so only ``projective`` knows which built-in sets
+are complements.
+
 A second family lives on the whole real line: ``translative_conjugate``
 transports a homogeneous mean through exp/log to a translative one, and
 ``translative_pair`` builds the additive analogue of the xy construction,
 a ``MeanPair`` of ``RealMean``s that ``check_invariance`` scans like any
-other pair.
+other pair.  Both families are wired the same way (``_wired_pair``): one
+evaluator returns K, L and M(x, y) from one pass, K and L are its parts
+0 and 1, and the pair carries it as ``fused``.
 """
 from __future__ import annotations
 
@@ -40,7 +46,8 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .means import Mean, _blockwise, _pow, classical
-from .projective import _COMPLEMENT_NAME, ConeSet, _selections, builtin_cone
+from .projective import (ConeSet, _selections, builtin_cone, complement_cone,
+                         projective_mean)
 
 __all__ = [
     "MeanPair",
@@ -127,25 +134,35 @@ def _kernel(M: Callable, components: Callable, t: float) -> Callable:
     return fn
 
 
+def _wired_pair(fused: Callable, make: Callable, name: str, args: str, target,
+                t: float, spec: str | None = None) -> MeanPair:
+    """The pair whose K and L are parts 0 and 1 of one evaluator.
+
+    ``fused(x, y) -> (K, L, M(x, y))`` runs once for all three, and
+    ``make(fn, label)`` builds each component around its part, labelled
+    ``<name>.K(<args>)`` and ``<name>.L(<args>)``.  All of them run long
+    1-D inputs in blocks.
+    """
+    K, L = (make(_blockwise(fused, i), f"{name}.{part}({args})")
+            for i, part in enumerate("KL"))
+    pair = MeanPair(K, L, target=target, t=t, spec=spec)
+    # set past the frozen init, so any copy made by replace() drops it
+    object.__setattr__(pair, "fused", _blockwise(fused))
+    return pair
+
+
 def _kernel_pair(M: Mean, components: Callable, t: float, name: str, args: str,
                  symmetric: bool, homogeneous: bool, spec: str | None) -> MeanPair:
     kernel = _kernel(M.fn, components, t)
 
-    # K, L and the pair's fused evaluator all end this one kernel pass
     def fused(x, y):
         (ct, dt), ratio, mxy = kernel(x, y)
         k = ratio * ct
         ratio *= dt  # the ratio is fresh: reuse it for L
         return k, ratio, mxy
 
-    K = Mean(_blockwise(fused, 0), f"{name}.K({args})", symmetric=symmetric,
-             homogeneous=homogeneous)
-    L = Mean(_blockwise(fused, 1), f"{name}.L({args})", symmetric=symmetric,
-             homogeneous=homogeneous)
-    pair = MeanPair(K, L, target=M, t=t, spec=spec)
-    # set past the frozen init, so any copy made by replace() drops it
-    object.__setattr__(pair, "fused", _blockwise(fused))
-    return pair
+    return _wired_pair(fused, partial(Mean, symmetric=symmetric, homogeneous=homogeneous),
+                       name, args, M, t, spec)
 
 
 def _base(kernel: Callable, t: float) -> Callable:
@@ -173,16 +190,14 @@ def _coordinates(x, y):
 def _selection_pair(M: Mean, t: float, A: ConeSet | None, name: str,
                     lead: str) -> MeanPair:
     # shared by log_pair and xy_pair: components (P_A, P_{A'}), flags
-    # from the set's declarations, spec only for named complements
+    # from the set's declarations, spec where both selections have one,
+    # as general_pair spells it
     if A is None:
         A = builtin_cone("full")
     spec = None
-    if 0.0 < t < 1.0 and A.name in _COMPLEMENT_NAME:
-        spec = _spec(
-            "pair",
-            (M.spec, f"proj:{A.name}", f"proj:{_COMPLEMENT_NAME[A.name]}"),
-            t,
-        )
+    if 0.0 < t < 1.0:
+        spec = _spec("pair", (M.spec, projective_mean(A).spec,
+                              projective_mean(complement_cone(A)).spec), t)
     args = f"{lead}t={t!r}, {A.name or '<set>'}"
     return _kernel_pair(M, partial(_selections, A), t, name, args,
                         symmetric=A.declared_asymmetric or t == 0.0,
@@ -313,6 +328,9 @@ class RealMean:
     monotone: bool = False
     translative: bool = False
     strict: bool = False
+    # not a field: a real-line mean makes no claim of homogeneity, and
+    # the scans that read the flag (flags, trace) see False
+    homogeneous = False
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -386,9 +404,11 @@ def translative_pair(N: RealMean, t: float) -> MeanPair:
 
     N_t = (N(x,y) - N(tx,ty))/(1-t); the components fold the 1-t factor,
     K = tx + N(x,y) - N(tx,ty), which is the same expression with two
-    fewer roundings.  Requires N symmetric, monotone, and translative,
-    and t in (-1, 1).  For the arithmetic mean this is exactly the family
-    of weighted arithmetic pairs with weights (1+t)/2 and (1-t)/2.
+    fewer roundings.  Like a kernel pair, the pair carries a fused
+    evaluator: K, L and N(x, y) come from one pass that evaluates N
+    twice.  Requires N symmetric, monotone, and translative, and t in
+    (-1, 1).  For the arithmetic mean this is exactly the family of
+    weighted arithmetic pairs with weights (1+t)/2 and (1-t)/2.
     """
     t = float(t)
     if not (-1.0 < t < 1.0):
@@ -399,15 +419,10 @@ def translative_pair(N: RealMean, t: float) -> MeanPair:
             "translative flags"
         )
 
-    def k_fn(x, y):
-        return t * x + (N.fn(x, y) - N.fn(t * x, t * y))
+    def fused(x, y):
+        m = N.fn(x, y)
+        shift = m - N.fn(t * x, t * y)
+        return t * x + shift, t * y + shift, m
 
-    def l_fn(x, y):
-        return t * y + (N.fn(x, y) - N.fn(t * x, t * y))
-
-    sym = t == 0.0
-    K = RealMean(k_fn, f"transpair.K({N.label}, t={t!r})",
-                 symmetric=sym, monotone=False, translative=True)
-    L = RealMean(l_fn, f"transpair.L({N.label}, t={t!r})",
-                 symmetric=sym, monotone=False, translative=True)
-    return MeanPair(K, L, target=N, t=t)
+    return _wired_pair(fused, partial(RealMean, symmetric=t == 0.0, translative=True),
+                       "transpair", f"{N.label}, t={t!r}", N, t)

@@ -17,7 +17,8 @@ The short arithmetic, geometric and harmonic formulas run whole.
 Each lane computes one branch.  Every evaluator with an exceptional
 branch runs its main formula on every lane and then patches the
 exceptional lanes (``_patch``): the near-diagonal series of the
-logarithmic and Stolarsky means, the log1p form of a narrow gap
+logarithmic and Stolarsky means (one ``_series``, since the logarithmic
+mean is the Stolarsky (1, 0) limit), the log1p form of a narrow gap
 (``_gap_log``), the limits of the power mean at 0 and inf, the halved
 sum of the arithmetic mean where the sum overflows and the
 tiny-argument form of the harmonic mean where it underflows (and, in
@@ -32,7 +33,10 @@ give the same bits as computing every branch and selecting one.  For
 once when it is built, which keeps its relative accuracy as p goes to 0.
 
 The catalog (``_catalog``) is homogeneous and monotone, and each of its
-means is labelled by its spec.
+means is labelled by its spec.  ``classical`` looks up the named means
+of CLASSICAL_NAMES only; the power and Stolarsky means are built by
+``power_mean`` and ``stolarsky``, or parsed from their spec forms by
+``specs``.
 """
 from __future__ import annotations
 
@@ -209,10 +213,21 @@ def _log1p_gap(lo, d):
     return np.log1p(d / lo)
 
 
-def _logmean_series(hi, lo, d):
-    m = 0.5 * (hi + lo)
-    u = d / (2.0 * m)
-    return m * (1.0 - u * u / 3.0)
+def _series(k: float):
+    """The near-diagonal series m*(1 + k*u**2/6), u = d/(2m), of a difference mean.
+
+    k = r + s - 3 for the Stolarsky mean (r, s); the logarithmic mean is
+    its (1, 0) limit, k = -2.
+    """
+    def series(hi, lo, d):
+        m = 0.5 * (hi + lo)
+        u = d / (2.0 * m)
+        return m * (1.0 + k * (u * u) / 6.0)
+
+    return series
+
+
+_LOG_SERIES = _series(-2.0)
 
 
 @_blockwise
@@ -227,7 +242,7 @@ def _logmean(x, y):
     d = hi - lo
     near = d <= NEAR_DIAGONAL_RTOL * hi
     w = _patch(_gap_log(hi, lo, d), near, _one)
-    return _patch(d / w, near, _logmean_series, hi, lo, d)
+    return _patch(d / w, near, _LOG_SERIES, hi, lo, d)
 
 
 def _arithmetic_fn(x, y):
@@ -329,11 +344,7 @@ def stolarsky(r: float, s: float) -> Mean:
         raise ParameterError("stolarsky mean requires nonzero r and s")
     q = 1.0 / (r - s)
     coeff = s / r
-
-    def series(hi, lo, d):
-        m = 0.5 * (hi + lo)
-        u = d / (2.0 * m)
-        return m * (1.0 + (r + s - 3.0) * (u * u) / 6.0)
+    series = _series(r + s - 3.0)
 
     def fn(x, y):
         # the quotient form on every lane, with guards of 1.0 where the
@@ -372,23 +383,14 @@ CLASSICAL_NAMES: tuple[str, ...] = tuple(_REGISTRY)
 
 
 def classical(name: str) -> Mean:
-    """Look up a catalog mean by identifier.
+    """Look up a catalog mean by one of the identifiers in CLASSICAL_NAMES.
 
-    Accepts the names in CLASSICAL_NAMES plus the parameterized form
-    "power:p" with a decimal literal p.
+    The parameterized means have constructors of their own
+    (``power_mean``, ``stolarsky``) and forms of the spec grammar
+    (``specs.parse_mean("power:2")``); ``classical`` does not parse them.
     """
     if name in _REGISTRY:
         return _REGISTRY[name]
-    if name.startswith("power:"):
-        text = name[len("power:"):]
-        try:
-            p = float(text)
-        except ValueError:
-            raise InvalidMeanSpec(
-                f"power mean needs a numeric exponent, got {text!r}",
-                position=len("power:"),
-            ) from None
-        return power_mean(p)
     raise InvalidMeanSpec(f"unknown mean identifier {name!r}", position=0)
 
 

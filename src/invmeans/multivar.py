@@ -7,7 +7,9 @@ still satisfies the invariance equation M(K_1, ..., K_n) = M.  Both run
 the n component values stacked into the one argument an n-ary evaluator
 takes.  Each distinct component is evaluated once per call and fills
 every row that names it, so a family of repeated components costs as
-many evaluations as it has distinct ones.  What fails is mean-ness:
+many evaluations as it has distinct ones.  Each tuple component is
+``_component`` of the one kernel, and the escape ratio builds K_1 alone,
+not the whole tuple.  What fails is mean-ness:
 with M = C_1 = arithmetic and the remaining components geometric,
 K_1(1, x, ..., x)/x grows toward n - 1, so for n >= 3 the construction
 escapes the min/max envelope.
@@ -148,6 +150,16 @@ def nary_general_base(M: NaryMean, components: Sequence[NaryMean],
     return NaryMean(_base(kernel, t), M.n, label)
 
 
+def _component(kernel: Callable, i: int) -> Callable:
+    """The tuple component K_i = C_i^t * M / M(C_1^t, ..., C_n^t) of ``kernel``."""
+
+    def fn(xs):
+        powers, ratio, _ = kernel(xs)
+        return powers[0][i] * ratio
+
+    return fn
+
+
 def nary_invariant_tuple(M: NaryMean, components: Sequence[NaryMean],
                          t: float) -> tuple[NaryMean, ...]:
     """The tuple K_i = C_i^t * M / M(C_1^t, ..., C_n^t).
@@ -156,21 +168,15 @@ def nary_invariant_tuple(M: NaryMean, components: Sequence[NaryMean],
     n >= 3 (see counterexample_ratio).
     """
     kernel, components, t = _nary_kernel(M, components, t)
-
-    def make(i: int) -> NaryMean:
-        def fn(xs):
-            powers, ratio, _ = kernel(xs)
-            return powers[0][i] * ratio
-
-        label = f"tuple.K{i + 1}[{M.label}; t={t!r}]"
-        return NaryMean(fn, M.n, label)
-
-    return tuple(make(i) for i in range(len(components)))
+    return tuple(NaryMean(_component(kernel, i), M.n,
+                          f"tuple.K{i + 1}[{M.label}; t={t!r}]")
+                 for i in range(len(components)))
 
 
 # the largest n the escape ratio takes: its cost grows like n (two
-# distinct components, each reducing the n-vector row by row); on a
-# shared 2-core machine a call took 1.2 s at n = 100,000
+# distinct components, each reducing the n-vector row by row, and K_1
+# alone of the tuple built); on a shared 2-core machine a call took
+# 0.6-0.8 s at n = 100,000 (1.0-1.2 s when all n components were built)
 _ESCAPE_MAX_N = 100_000
 
 
@@ -181,7 +187,7 @@ def counterexample_ratio(n: int, t: float, x: float) -> float:
     components geometric.  The ratio tends to n - 1 as x grows, so it
     exceeds 1 for n >= 3 and the tuple cannot consist of means.  At x = 1
     all arguments coincide and the ratio is exactly 1.  n is at most
-    100,000, which keeps a call under about 1.5 s.
+    100,000, which keeps a call under about 1 s.
     """
     n = int(n)
     if n < 3:
@@ -196,7 +202,8 @@ def counterexample_ratio(n: int, t: float, x: float) -> float:
         raise ParameterError("the escape ratio requires x > 0")
     A = nary_arithmetic(n)
     G = nary_geometric(n)
-    first = nary_invariant_tuple(A, (A,) + (G,) * (n - 1), t)[0]
+    # K_1 alone: the other n - 1 components are never built
+    first = _component(_nary_kernel(A, (A,) + (G,) * (n - 1), t)[0], 0)
     if x > sys.float_info.max / n:
         # K_1(1, x, ..., x) approaches (n - 1) x and would pass DBL_MAX;
         # K_1 is homogeneous, so evaluate K_1(1/x, 1, ..., 1) instead

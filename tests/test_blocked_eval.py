@@ -553,3 +553,69 @@ class TestFusedEvaluator:
         report = im.check_invariance(skewed_pair)
         assert not report.passed
         assert report.worst_violation > 1e-10
+
+
+def _translative_pairs():
+    conj = im.translative_conjugate(G)
+    return {f"{name}-t={t!r}": im.translative_pair(N, t)
+            for name, N in (("reals", im.ARITHMETIC_ON_REALS), ("conj-G", conj))
+            for t in (-0.5, 0.0, 0.5)}
+
+
+def _real_inputs():
+    rng = np.random.default_rng(8)
+    x, y = rng.uniform(-700.0, 700.0, (2, 2 * BLOCK + 1))
+    return {"seeded": (x, y), "0d": (np.asarray(-3.0), np.asarray(2.5)),
+            "scalar-y": (x, 3.5), "scalar": (1.5, -650.0)}
+
+
+TRANSLATIVE_PAIRS = _translative_pairs()
+REAL_INPUTS = _real_inputs()
+
+
+class TestTranslativeFusedEvaluator:
+    # the translative pair wires K, L and N(x, y) like a kernel pair
+
+    @pytest.mark.parametrize("name", TRANSLATIVE_PAIRS)
+    def test_evaluate_equals_the_separate_evaluators(self, name):
+        pair = TRANSLATIVE_PAIRS[name]
+        for x, y in REAL_INPUTS.values():
+            k, l, m = pair.evaluate(x, y)
+            assert np.array_equal(k, pair.K.fn(x, y))
+            assert np.array_equal(l, pair.L.fn(x, y))
+            assert np.array_equal(m, pair.target.fn(x, y))
+
+    @pytest.mark.parametrize("name", TRANSLATIVE_PAIRS)
+    def test_components_equal_the_earlier_formula(self, name):
+        # K = tx + (N(x, y) - N(tx, ty)), L the same with ty, each of them
+        # evaluating N twice
+        pair = TRANSLATIVE_PAIRS[name]
+        N, t = pair.target.fn, pair.t
+        for x, y in REAL_INPUTS.values():
+            shift = N(x, y) - N(t * x, t * y)
+            assert np.array_equal(pair.K.fn(x, y), t * x + shift)
+            assert np.array_equal(pair.L.fn(x, y), t * y + shift)
+
+    @pytest.mark.parametrize("name", TRANSLATIVE_PAIRS)
+    def test_report_matches_the_unfused_fallback(self, name):
+        pair = TRANSLATIVE_PAIRS[name]
+        fallback = dataclasses.replace(pair)
+        assert pair.fused is not None and fallback.fused is None
+        cfg = im.ScanConfig(points_per_axis=16)
+        assert im.check_invariance(pair, cfg) == im.check_invariance(fallback, cfg)
+
+    def test_a_copy_with_another_K_is_checked_against_it(self):
+        pair = TRANSLATIVE_PAIRS["reals-t=0.5"]
+        swapped = dataclasses.replace(pair, K=im.ARITHMETIC_ON_REALS)
+        assert swapped.fused is None
+        x, y = REAL_INPUTS["seeded"]
+        assert np.array_equal(swapped.evaluate(x, y)[0], im.ARITHMETIC_ON_REALS.fn(x, y))
+        assert not im.check_invariance(swapped).passed
+
+    def test_an_argument_past_the_limit_raises_from_every_path(self):
+        pair = TRANSLATIVE_PAIRS["conj-G-t=0.5"]
+        x, y = (c.copy() for c in REAL_INPUTS["seeded"])
+        x[BLOCK + 7] = 701.0
+        for fn in (pair.K.fn, pair.L.fn, pair.evaluate):
+            with pytest.raises(OverflowError, match="700"):
+                fn(x, y)

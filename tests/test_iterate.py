@@ -72,6 +72,27 @@ class TestClassicalIteration:
         assert trace.converged == (trace.gaps[-1] <= 1e-14)
 
 
+def _first_step(value, then):
+    """An evaluator that maps (1, 4) to ``value`` and runs ``then`` elsewhere."""
+    def fn(x, y):
+        return value if (float(x), float(y)) == (1.0, 4.0) else then.fn(x, y)
+
+    return fn
+
+
+class TestGapMonotone:
+    def test_a_gap_that_grows_once_by_one_percent_is_not_monotone(self):
+        # (1, 4) -> (0.97, 4) widens the relative gap from 0.75 to 0.7575,
+        # then the A-H pair closes it
+        pair = im.MeanPair(im.Mean(_first_step(0.97, A), "K"),
+                           im.Mean(_first_step(4.0, H), "L"), target=G)
+        trace = im.iterate_pair(pair, 1.0, 4.0)
+        assert tuple(trace.iterates[1]) == (0.97, 4.0)
+        assert_allclose(trace.gaps[1] / trace.gaps[0], 1.01, rtol=1e-12)
+        assert trace.converged
+        assert trace.gap_monotone is False
+
+
 class TestTrajectoryInvariance:
     def test_target_constant_for_complementary_pairs(self):
         pair = im.MeanPair(A, H, target=G)

@@ -63,7 +63,7 @@ class TestCatalogValues:
 
     def test_power_zero_is_geometric(self):
         assert im.power_mean(0) is im.classical("geometric")
-        assert im.classical("power:0") is im.classical("geometric")
+        assert im.parse_mean("power:0") is im.classical("geometric")
 
     def test_diagonal_identity(self):
         x = log_grid()
@@ -184,8 +184,15 @@ class TestConstructorErrors:
             im.classical("median")
 
     def test_power_needs_number(self):
-        with pytest.raises(im.InvalidMeanSpec, match="numeric exponent"):
-            im.classical("power:two")
+        with pytest.raises(im.InvalidMeanSpec, match="expected a number") as info:
+            im.parse_mean("power:two")
+        assert info.value.position == len("power:")
+
+    @pytest.mark.parametrize("spec", ["power:2", "power:two", "power:inf", "power:2:3"])
+    def test_classical_takes_catalog_names_only(self, spec):
+        # the power form is the grammar's (parse_mean) and power_mean's
+        with pytest.raises(im.InvalidMeanSpec, match="unknown mean identifier"):
+            im.classical(spec)
 
     def test_stolarsky_equal_parameters(self):
         with pytest.raises(im.ParameterError, match="requires r != s"):
@@ -201,8 +208,8 @@ class TestConstructorErrors:
     def test_power_needs_finite_exponent(self, p):
         with pytest.raises(im.ParameterError, match="finite exponent"):
             im.power_mean(p)
-        with pytest.raises(im.ParameterError, match="finite exponent"):
-            im.classical(f"power:{p}")
+        with pytest.raises(im.InvalidMeanSpec, match="finite number"):
+            im.parse_mean(f"power:{p}")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_stolarsky_needs_finite_parameters(self, bad):
@@ -403,8 +410,8 @@ class TestStructuralIdentities:
             f = im.trace_of(im.classical(name))
             assert_allclose(f(x), x * f(1.0 / x), rtol=1e-12, err_msg=name)
 
-    def test_classical_power_round_trip(self):
-        F = im.classical("power:2.0")
+    def test_parsed_power_round_trip(self):
+        F = im.parse_mean("power:2.0")
         G = im.power_mean(2)
         x = log_grid(1e-2, 1e2, 33)
         assert_allclose(F.fn(x, x[::-1]), G.fn(x, x[::-1]), rtol=0)

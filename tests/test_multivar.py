@@ -229,6 +229,21 @@ class TestEscapeRatio:
             with pytest.raises(im.ParameterError, match="x > 0"):
                 im.counterexample_ratio(3, 0.5, bad)
 
+    @pytest.mark.parametrize("n", [3, 10, 1000])
+    def test_the_ratio_evaluates_the_first_tuple_component(self, n):
+        # the ratio builds K_1 alone; the tuple's K_1 gives the same bits
+        An, Gn = im.nary_arithmetic(n), im.nary_geometric(n)
+        for t in (0.25, 0.5, 0.75):
+            first = im.nary_invariant_tuple(An, (An,) + (Gn,) * (n - 1), t)[0]
+            for x in (0.5, 1.0, 7.3, 1e8):
+                xs = np.full(n, x)
+                xs[0] = 1.0
+                assert im.counterexample_ratio(n, t, x) == first(xs) / max(1.0, x)
+            # past DBL_MAX / n the ratio is K_1(1/x, 1, ..., 1)
+            xs = np.ones(n)
+            xs[0] = 1.0 / 1e308
+            assert im.counterexample_ratio(n, t, 1e308) == first(xs)
+
     def test_n_is_bounded(self):
         # the cost grows like n; the bound itself is accepted
         assert im.counterexample_ratio(100_000, 0.5, 1.0) == 1.0

@@ -157,7 +157,7 @@ class TestSampling:
 
     def test_a_probe_past_the_domain_end_does_not_break_the_flag_scan(self):
         cfg = im.ScanConfig(domain=ODD_DOMAINS[0], points_per_axis=8)
-        report = im.check_flags(im.classical("power:2"), cfg)
+        report = im.check_flags(im.power_mean(2), cfg)
         assert report.passed and report.samples_checked > 0
 
     def test_affine_draws_equal_generator_uniform(self):
@@ -368,6 +368,52 @@ class TestFlagScans:
         assert report.passed
         assert calls == [x.size]
         assert report.samples_checked == kept
+
+
+class TestSensitivity:
+    # a fault planted just above a check's tolerance fails the check
+
+    def test_a_trace_slope_of_one_and_a_half_fails_the_trace_check(self):
+        # f(x) = 1 + (x - 1)(1 + 0.5 exp(-(log x)^2)): the divided
+        # difference (f(x) - 1)/(x - 1) reaches 1.5 next to x = 1
+        def steep(x, y):
+            r = x / y
+            return y * (1.0 + (r - 1.0) * (1.0 + 0.5 * np.exp(-np.log(r) ** 2)))
+
+        report = im.check_trace_meanness(im.Mean(steep, "steep", homogeneous=True), CFG)
+        assert not report.passed
+        assert 0.4 < report.worst_violation <= 0.5
+
+    def test_an_asymmetry_of_one_part_in_a_billion_fails_the_symmetric_flag(self):
+        def skewed(x, y):
+            return A.fn(x, y) * (1.0 + 1e-9 * np.sign(x - y))
+
+        report = im.check_flags(im.Mean(skewed, "skewed", symmetric=True), CFG)
+        assert not report.passed
+        assert report.detail == "flag falsified: symmetric"
+
+
+class TestRealLineMeans:
+    # a RealMean declares no homogeneity, so the scans that read the flag
+    # see False, not a missing attribute
+
+    def test_the_flags_of_the_arithmetic_mean_on_reals_hold(self):
+        report = im.check_flags(im.ARITHMETIC_ON_REALS, CFG)
+        assert report.passed and report.samples_checked > 0
+
+    def test_a_translative_component_declares_no_scanned_flag(self):
+        K = im.translative_pair(im.ARITHMETIC_ON_REALS, 0.5).K
+        report = im.check_flags(K, CFG)
+        assert report.passed and report.detail == "no flags declared"
+
+    @pytest.mark.parametrize("check", [im.check_trace_meanness, im.check_monotone_trace])
+    def test_a_trace_check_is_a_domain_error(self, check):
+        with pytest.raises(im.DomainError, match="homogeneous"):
+            check(im.ARITHMETIC_ON_REALS, CFG)
+
+    def test_homogeneous_is_not_a_field(self):
+        assert "homogeneous" not in {f.name for f in dataclasses.fields(im.RealMean)}
+        assert im.translative_conjugate(A).homogeneous is False
 
 
 def _earlier_strict(tol, x, y, v):

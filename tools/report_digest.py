@@ -36,6 +36,14 @@ escape   ``counterexample_ratio`` for n in {3, 4, 10, 100, 300}, t in
          (n, 1000) stacks, t in {0.25, 0.5, 0.75}), each digested as its
          output's bytes; about 0.1 s where each distinct component runs
          once, 1.6 s where each row evaluates its own (an O(n**2) cost)
+real     the translative pairs of ``ARITHMETIC_ON_REALS`` and of the
+         conjugates of the geometric, arithmetic and logarithmic means at
+         t in {-0.5, 0, 0.25, 0.5, 0.9}: labels and flags of K, L and the
+         target, K and L raw (``.fn``) and validated on seeded reals in
+         [-700, 700] longer than three blocks, 0-d and mixed shapes,
+         +-700, +-701 (the conjugates' overflow raise, also from a lane in
+         the second block) and non-finite arguments, and
+         ``check_invariance`` at the default config and points_per_axis 16
 
 A report enters a digest as passed, worst violation, samples checked,
 witness and detail.  Running this against two source trees and diffing
@@ -344,8 +352,44 @@ def escape(h) -> int:
     return lanes
 
 
+# the real-line targets of the translative pairs and their parameters
+REAL_TARGETS = ("geometric", "arithmetic", "logarithmic")
+REAL_T = (-0.5, 0.0, 0.25, 0.5, 0.9)
+
+
+def _real_inputs() -> list:
+    """(x, y) argument pairs on the real line: seeded, blocked, 0-d, at and past +-700."""
+    rng = np.random.default_rng(1)
+    x, y = rng.uniform(-700.0, 700.0, (2, 3 * _BLOCK + 5))
+    y[::7] = x[::7]
+    past = x.copy()
+    past[_BLOCK + 7] = 701.0  # a lane past the conjugates' limit, in the second block
+    return [(x, y), (past, y), (np.float64(x[0]), y[:10]), (np.asarray(1.5), np.asarray(-2.0)),
+            (700.0, -700.0), (701.0, 0.0), (0.0, -701.0), (np.inf, 0.0), (np.nan, 1.0)]
+
+
+def real(h) -> int:
+    lanes = 0
+    inputs = _real_inputs()
+    targets = [im.ARITHMETIC_ON_REALS] + [im.translative_conjugate(im.classical(n))
+                                          for n in REAL_TARGETS]
+    for N in targets:
+        for t in REAL_T:
+            pair = im.translative_pair(N, t)
+            flags = [(M.label, M.symmetric, M.monotone, M.translative, M.strict)
+                     for M in (pair.K, pair.L, pair.target)]
+            h.update(repr((flags, pair.t, pair.spec)).encode())
+            for M in (pair.K, pair.L):
+                for x, y in inputs:
+                    lanes += _evaluator_outcome(h, M.fn, x, y)
+                    lanes += _evaluator_outcome(h, M, x, y)
+            for cfg in (im.DEFAULT_CONFIG, im.ScanConfig(points_per_axis=16)):
+                _report(h, im.check_invariance(pair, cfg))
+    return lanes
+
+
 FAMILIES = {f.__name__: f for f in (sweep, bigscan, iterate, cli, specs, evaluators,
-                                    failures, escape)}
+                                    failures, escape, real)}
 
 
 def main() -> None:
