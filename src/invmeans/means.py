@@ -14,23 +14,27 @@ temporaries in the core's L2 cache instead of streaming one scan-sized
 array per temporary, and the output is bit-identical to a single pass.
 The short arithmetic, geometric and harmonic formulas run whole.
 
-Each lane computes one branch.  Every evaluator with an exceptional
-branch runs its main formula on every lane and then patches the
-exceptional lanes (``_patch``): the near-diagonal series of the
-logarithmic and Stolarsky means (one ``_series``, since the logarithmic
-mean is the Stolarsky (1, 0) limit), the log1p form of a narrow gap
-(``_gap_log``), the limits of the power mean at 0 and inf, the halved
-sum of the arithmetic mean where the sum overflows and the
-tiny-argument form of the harmonic mean where it underflows (and, in
-``multivar``, the scaled form of the n-ary arithmetic mean) run on
-those lanes only, gathered out and scattered back, instead of on every
-lane for an ``np.where`` to throw away.  Scans sample log-uniform
-pairs, so those lanes are rare.  A scalar call takes the same path:
-``_patch`` replaces a 0-d result whole.  The power mean takes one power
-per lane: the term of the argument it factors out is exactly 1.  Both
-give the same bits as computing every branch and selecting one.  For
-|p| < 1e-2 the power mean takes an expm1/log1p form instead, chosen
-once when it is built, which keeps its relative accuracy as p goes to 0.
+Each lane computes one branch.  The logarithmic and Stolarsky means
+take one log-gap formula on every lane (``_gap_log``): log(hi/lo) as
+log1p((hi - lo)/lo), which keeps full relative accuracy from the
+diagonal to the widest gap, so neither needs a near-diagonal series.
+What is left is an overflow patch (``_patch``, computed on its own
+lanes only, gathered out and scattered back), which takes the log
+difference where the arguments are more than 2**945 apart, and the
+exact diagonal: its log gap of 0 is guarded with 1.0, and a clamp to
+[min, max] returns the argument itself there.  The Stolarsky mean keeps
+every expm1 argument <= 0 by factoring out hi for a positive parameter
+and lo for a negative one, so it stays finite at any ratio.  The other
+exceptional branches are patched the same way: the power mean's log
+ratio where its arguments are more than 2**1000 apart, its limits at 0
+and inf, the halved sum of the arithmetic mean where the sum overflows
+and the tiny-argument form of the harmonic mean where it underflows
+(and, in ``multivar``, the scaled form of the n-ary arithmetic mean).
+Scans sample log-uniform pairs, so those lanes are rare.  A scalar call takes the same path: ``_patch`` replaces a 0-d
+result whole.  The power mean takes one power per lane: the term of the
+argument it factors out is exactly 1.  For |p| < 1e-2 it takes an
+expm1/log1p form instead, chosen once when it is built, which keeps its
+relative accuracy as p goes to 0.
 
 The catalog (``_catalog``) is homogeneous and monotone, and each of its
 means is labelled by its spec.  ``classical`` looks up the named means
@@ -59,9 +63,10 @@ __all__ = [
     "trace_of",
 ]
 
-# Relative gap |x - y| / max(x, y) below which quotient-form evaluators
-# switch to a second-order series around the midpoint; the direct quotient
-# degenerates to 0/0 on the diagonal.
+# Relative gap |x - y| / max(x, y) under which a pair counts as near the
+# diagonal.  No evaluator branches on it any more (the log-gap formula is
+# accurate at every gap); it is kept as a public name for the benchmark's
+# share of near-diagonal lanes.
 NEAR_DIAGONAL_RTOL = 1e-8
 
 # Lanes per block of a blocked evaluation: 64 KB per float64 array, so the
@@ -162,9 +167,7 @@ class _blockwise:
 
 
 def _pow(x, t: float):
-    """x**t computed as exp(t*log x), uniform over the positive range."""
-    if t == 0.0:
-        return np.ones_like(np.asarray(x, dtype=float))
+    """x**t computed as exp(t*log x), uniform over the positive range; t != 0."""
     if t == 1.0:
         return np.asarray(x, dtype=float)
     return np.exp(t * np.log(x))
@@ -193,56 +196,52 @@ def _patch(out, mask, fn, *cols):
     return out
 
 
-def _one():
-    # the guard value of the lanes another branch will replace
-    return 1.0
+# A quotient of two arguments, or of their gap by the lesser, leaves the
+# normal range once they are about 2**1000 (1e301) apart; there the
+# divisor is raised by, or to, _FAR times the greater argument, which
+# keeps the quotient finite.  hi*_FAR is normal for every hi above
+# 2**-22, which keeps the raise off numpy's slow subnormal path on the
+# lanes of any scan
+_FAR = 2.0 ** -1000
+
+
+def _log_ratio(a, b):
+    # log(a/b) where a/b would leave the normal range; the two logs are
+    # at least 650 apart there, so their difference does not cancel
+    return np.log(a) - np.log(b)
 
 
 def _gap_log(hi, lo, d):
-    """log(hi/lo) for d = hi - lo, with log1p accuracy when the gap is small.
+    """log(hi/lo) for d = hi - lo, as log1p(d/lo) on every lane; 1.0 where d == 0.
 
-    Every lane takes plain log subtraction, where cancellation is harmless
-    for wide gaps (d > lo) and d/lo could overflow; the narrow lanes
-    (d <= lo) are patched with log1p(d/lo), which stays fully accurate as
-    the gap closes.
+    d is exact where hi <= 2*lo and carries one rounding elsewhere, so
+    log1p(d/lo) keeps full relative accuracy at every gap, down to the
+    diagonal.  The divisor is lo + hi*_FAR, which rounds to lo unless
+    the arguments are more than 2**946 apart and keeps d/lo finite
+    beyond; the lanes whose log passes 650, below log(2**945), are
+    patched with log(hi) - log(lo).  A lane with hi = inf stays nan
+    (inf/inf).  On the exact diagonal the log gap is 0 and a quotient by
+    it 0/0: there it is guarded with 1.0, and the caller's clamp to
+    [lo, hi] returns the argument itself.
     """
-    return _patch(np.log(hi) - np.log(lo), d <= lo, _log1p_gap, lo, d)
-
-
-def _log1p_gap(lo, d):
-    return np.log1p(d / lo)
-
-
-def _series(k: float):
-    """The near-diagonal series m*(1 + k*u**2/6), u = d/(2m), of a difference mean.
-
-    k = r + s - 3 for the Stolarsky mean (r, s); the logarithmic mean is
-    its (1, 0) limit, k = -2.
-    """
-    def series(hi, lo, d):
-        m = 0.5 * (hi + lo)
-        u = d / (2.0 * m)
-        return m * (1.0 + k * (u * u) / 6.0)
-
-    return series
-
-
-_LOG_SERIES = _series(-2.0)
+    w = np.log1p(d / (lo + hi * _FAR))
+    w = _patch(w, w > 650.0, _log_ratio, hi, lo)
+    return w + (d == 0.0)
 
 
 @_blockwise
 def _logmean(x, y):
     # (x - y)/(log x - log y), extended by continuity across the diagonal.
-    # The quotient runs on log1p of the relative gap, which keeps it fully
-    # accurate for nearby arguments; inside NEAR_DIAGONAL_RTOL a
-    # second-order midpoint series takes over, patched into those lanes
-    # after a guard of 1.0 kept the quotient from dividing by 0 there.
+    # The quotient runs on log1p of the relative gap (_gap_log), which is
+    # fully accurate however close the arguments are.  A mean lies in
+    # [lo, hi], and the clamp to it returns the argument itself on the
+    # guarded diagonal and undoes a rounding an ulp outside where the
+    # arguments are an ulp or two apart; nan stays nan
     hi = np.maximum(x, y)
     lo = np.minimum(x, y)
     d = hi - lo
-    near = d <= NEAR_DIAGONAL_RTOL * hi
-    w = _patch(_gap_log(hi, lo, d), near, _one)
-    return _patch(d / w, near, _LOG_SERIES, hi, lo, d)
+    m = d / _gap_log(hi, lo, d)
+    return np.minimum(np.maximum(m, lo), hi)
 
 
 def _arithmetic_fn(x, y):
@@ -298,21 +297,29 @@ def _power_fn(p: float):
         # and the 1/p power multiplies that error by 1/|p|; with r**p - 1
         # taken as expm1(p log r) and the 1/p power as exp(log1p(.)/p) the
         # relative accuracy holds as p goes to 0
-        def factor(b, r):
-            return np.exp(np.log1p(0.5 * np.expm1(p * np.log(r))) / p)
+        def factor(b, lr):
+            return np.exp(np.log1p(0.5 * np.expm1(p * lr)) / p)
     else:
         # the term of b itself, (b/b)**p, is b/b: exactly 1.0 on finite
         # nonzero b, so it costs no power
-        def factor(b, r):
-            return _pow(0.5 * (b / b + _pow(r, p)), 1.0 / p)
+        def factor(b, lr):
+            return _pow(0.5 * (b / b + np.exp(p * lr)), 1.0 / p)
 
     def fn(x, y):
         # factor out b = max(x, y) (min for p < 0) so the power stays in
-        # (0, 1].  Where b is 0 or inf the factored form breaks down
-        # (nan, 0 or inf) and the mean's limit is b itself
-        b = big(x, y)
-        out = b * factor(b, other(x, y) / b)
-        return _patch(out, (b == 0.0) | (b == np.inf), lambda b: b, b)
+        # (0, 1], and take r = o/b for the other argument o.  Where the
+        # arguments lie more than 1/_FAR apart r could leave the normal
+        # range (underflow for p > 0, overflow for p < 0): there the
+        # lesser argument is raised to _FAR times the greater, which keeps
+        # r and its log finite, and log r is patched with log o - log b.
+        # Where b is 0 or inf the factored form breaks down (nan, 0 or
+        # inf) and the mean's limit is b itself
+        b, o = big(x, y), other(x, y)
+        hi, lo = (b, o) if p > 0 else (o, b)
+        floor = hi * _FAR
+        lo = np.maximum(lo, floor)
+        lr = _patch(np.log(lo / hi if p > 0 else hi / lo), lo == floor, _log_ratio, o, b)
+        return _patch(b * factor(b, lr), (b == 0.0) | (b == np.inf), lambda b: b, b)
 
     return _blockwise(fn)
 
@@ -343,20 +350,33 @@ def stolarsky(r: float, s: float) -> Mean:
     if r == 0.0 or s == 0.0:
         raise ParameterError("stolarsky mean requires nonzero r and s")
     q = 1.0 / (r - s)
-    coeff = s / r
-    series = _series(r + s - 3.0)
+    coeff = abs(s / r)
+    # With w = log(hi/lo), hi**a - lo**a is -hi**a*expm1(-a*w) for a > 0
+    # and lo**a*expm1(a*w) for a < 0: every expm1 argument is -|a|*w <= 0,
+    # so none overflows however far apart the arguments are.  The factored
+    # powers leave hi**(r - s)*exp(-k*(r - s)*w), k = -min(r, s)/|r - s|
+    # the share of a negative parameter, so the mean is hi*exp(-k*w) times
+    # the 1/(r - s) power of the quotient.  That factor is hi when both
+    # parameters are positive and lo when both are negative; for mixed
+    # signs it is hi*exp(-k*w) for k <= 1/2 and sqrt(hi)*sqrt(lo)*
+    # exp((1/2 - k)*w) above, which keeps exp in range
+    if r > 0.0 and s > 0.0:
+        base = shift = None
+    elif r < 0.0 and s < 0.0:
+        base, shift = (lambda hi, lo: lo), 0.0
+    else:
+        k = -min(r, s) / abs(r - s)
+        base, shift = ((lambda hi, lo: hi), k) if k <= 0.5 else (_geometric_fn, k - 0.5)
 
     def fn(x, y):
-        # the quotient form on every lane, with guards of 1.0 where the
-        # near-diagonal series will be patched in
+        # the clamp of _logmean
         hi = np.maximum(x, y)
         lo = np.minimum(x, y)
-        d = hi - lo
-        near = d <= NEAR_DIAGONAL_RTOL * hi
-        w = _gap_log(hi, lo, d)
-        core = coeff * np.expm1(-r * w) / _patch(np.expm1(-s * w), near, _one)
-        out = hi * _pow(_patch(core, near, _one), q)
-        return _patch(out, near, series, hi, lo, d)
+        w = _gap_log(hi, lo, hi - lo)
+        core = coeff * np.expm1(-abs(r) * w) / np.expm1(-abs(s) * w)
+        out = (hi * _pow(core, q) if base is None
+               else base(hi, lo) * np.exp(q * np.log(core) - shift * w))
+        return np.minimum(np.maximum(out, lo), hi)
 
     return _catalog(_blockwise(fn), f"stolarsky:{r!r}:{s!r}")
 

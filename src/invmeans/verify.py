@@ -229,7 +229,12 @@ def _trace_samples(cfg: ScanConfig) -> np.ndarray:
 
 
 def _lanes(v, x) -> np.ndarray:
-    return np.broadcast_to(np.asarray(v, dtype=float), np.shape(x))
+    # a float64 column of x's shape, the common case, is passed through
+    # as it is; anything else (a scalar, a 0-d or broadcast result) is
+    # broadcast to x's shape as a read-only view
+    if getattr(v, "shape", None) == x.shape and v.dtype == np.float64:
+        return v
+    return np.broadcast_to(np.asarray(v, dtype=float), x.shape)
 
 
 _FAILED = "evaluation failed"

@@ -1,5 +1,7 @@
 """Catalog means: values, identities, flags, and near-diagonal accuracy."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,22 +16,34 @@ from invmeans.verify import _pair_samples
 
 def mp_logmean(x, y):
     """High-precision logarithmic mean, the oracle for near-diagonal paths."""
+    return float(_mp_logmean(x, y))
+
+
+def _mp_logmean(x, y):
     with mpmath.workdps(60):
         a, b = mpmath.mpf(x), mpmath.mpf(y)
         if a == b:
-            return float(a)
-        return float((a - b) / (mpmath.log(a) - mpmath.log(b)))
+            return a
+        return (a - b) / (mpmath.log(a) - mpmath.log(b))
 
 
 def mp_stolarsky(r, s, x, y):
     """High-precision difference mean ((s/r)(x^r-y^r)/(x^s-y^s))^(1/(r-s))."""
+    return float(_mp_stolarsky(r, s, x, y))
+
+
+def _mp_stolarsky(r, s, x, y):
     with mpmath.workdps(60):
         a, b = mpmath.mpf(x), mpmath.mpf(y)
         if a == b:
-            return float(a)
+            return a
         rr, ss = mpmath.mpf(r), mpmath.mpf(s)
-        core = (ss / rr) * (a ** rr - b ** rr) / (a ** ss - b ** ss)
-        return float(core ** (1 / (rr - ss)))
+        return ((ss / rr) * (a ** rr - b ** rr) / (a ** ss - b ** ss)) ** (1 / (rr - ss))
+
+
+def _mp_gap_log(x, y):
+    with mpmath.workdps(60):
+        return abs(mpmath.log(mpmath.mpf(x)) - mpmath.log(mpmath.mpf(y)))
 
 
 def log_grid(lo=1e-6, hi=1e6, n=41):
@@ -346,31 +360,118 @@ class TestNearDiagonalAccuracy:
                 assert min(x, y) <= v <= max(x, y)
 
 
-class TestGapLog:
-    @staticmethod
-    def masked_gap_log(hi, lo, d, near):
-        # the earlier formula: near and wide lanes masked out of log1p
-        wide = d > lo
-        skip = near | wide
-        small = np.log1p(np.where(skip, 0.0, d) / np.where(skip, 1.0, lo))
-        return np.where(wide, np.log(hi) - np.log(lo), small)
+def _ulps(got, exact) -> float:
+    """|got - exact| in units of the last place of exact, a 60-digit mpf."""
+    return abs(float((mpmath.mpf(got) - exact) / np.spacing(abs(float(exact)))))
 
-    def test_matches_the_masked_formula_on_every_kept_lane(self):
-        # the default scan set plus lanes straddling the series cutover;
-        # near-diagonal lanes are discarded by _logmean and stolarsky
-        x, y = _pair_samples(im.DEFAULT_CONFIG)
-        assert x.size == 45080
-        base = np.geomspace(1e-6, 1e6, 101)
-        gaps = np.array([1e-6, 1e-7, 2e-8, 1e-8, 5e-9, 1e-9, 1e-12, 0.0])
-        x = np.concatenate([x, np.repeat(base, gaps.size)])
-        y = np.concatenate([y, np.outer(base, 1.0 + gaps).ravel()])
-        hi, lo = np.maximum(x, y), np.minimum(x, y)
-        d = hi - lo
-        near = d <= im.NEAR_DIAGONAL_RTOL * hi
-        assert near.any() and (~near & (d <= lo)).any() and (d > lo).any()
-        got = _gap_log(hi, lo, d)
-        assert np.array_equal(got[~near], self.masked_gap_log(hi, lo, d, near)[~near])
-        assert np.isfinite(got).all()
+
+def _log_gap_lanes():
+    """Seeded (x, y) lanes: near the diagonal, on it, and far from it.
+
+    ``near`` spreads relative gaps 1e-16 .. 10 over magnitudes 1e-300 ..
+    1e300, on both sides of the diagonal; ``diagonal`` has x == y;
+    ``far`` has max/min > DBL_MAX, where (max - min)/min overflows, and
+    includes the pairs (1e-200, 1e200) and (1e-300, 1e300).
+    """
+    rng = np.random.default_rng(29)
+    mag = 10.0 ** rng.uniform(-300.0, 300.0, 400)
+    other = mag * (1.0 + 10.0 ** rng.uniform(-16.0, 1.0, 400))
+    swap = rng.random(400) < 0.5
+    near = (np.where(swap, other, mag), np.where(swap, mag, other))
+    # decades apart, and the share of them below 1
+    apart, below = rng.uniform(309.0, 600.0, 40), rng.uniform(0.0, 1.0, 40)
+    lo, hi = -apart * below, apart * (1.0 - below)
+    kept = (lo > -300.0) & (hi < 300.0)
+    lo = 10.0 ** np.append(lo[kept], [-200.0, -300.0])
+    hi = 10.0 ** np.append(hi[kept], [200.0, 300.0])
+    swap = np.arange(lo.size) % 2 == 0
+    far = (np.where(swap, hi, lo), np.where(swap, lo, hi))
+    assert (np.log(hi) - np.log(lo) > np.log(np.finfo(float).max)).all()
+    return {"near": near, "diagonal": (mag[:20], mag[:20].copy()), "far": far}
+
+
+LOG_GAP_LANES = _log_gap_lanes()
+
+
+def _gap_log_fn(x, y):
+    hi, lo = np.maximum(x, y), np.minimum(x, y)
+    return _gap_log(hi, lo, hi - lo)
+
+
+def _stolarsky_subject(r, s):
+    # (evaluator, 60-digit oracle, whether the parameters have both signs)
+    return im.stolarsky(r, s).fn, lambda x, y: _mp_stolarsky(r, s, x, y), r * s < 0
+
+
+LOG_GAP_SUBJECTS = {
+    "gap_log": (_gap_log_fn, _mp_gap_log, False),
+    "logarithmic": (im.classical("logarithmic").fn, _mp_logmean, False),
+    **{f"stolarsky:{r!r}:{s!r}": _stolarsky_subject(r, s)
+       for r, s in ((3.0, 1.0), (-3.0, -1.0), (-1.0, -2.0), (2.0, -1.0), (0.5, -0.5),
+                    (-2.5, 0.5), (-2.0, 1.0))},
+}
+
+
+class TestLogGapAccuracy:
+    """Max error in ulps against 60-digit mpmath on the log-gap evaluators.
+
+    4 ulp on every lane, the exact diagonal and gaps past DBL_MAX
+    included, so dropping the diagonal or the overflow patch fails.  One
+    allowance: a Stolarsky mean with parameters of both signs scales by
+    exp(-k*w), k in (0, 1), and the rounding of the log gap w (an ulp of
+    a number up to 1,455) and of k*w reach the result through that
+    exponent, as in any double formula; on the far lanes its bound is
+    4 + 2*w ulps (the worst lane reads 1.06*w).
+    """
+
+    # _gap_log returns its guard 1.0 on the diagonal, tested below
+    @pytest.mark.parametrize("name,lanes", [(name, lanes) for name in LOG_GAP_SUBJECTS
+                                            for lanes in LOG_GAP_LANES
+                                            if (name, lanes) != ("gap_log", "diagonal")])
+    def test_max_ulp_error(self, name, lanes):
+        fn, exact, mixed = LOG_GAP_SUBJECTS[name]
+        x, y = LOG_GAP_LANES[lanes]
+        for a, b, v in zip(x, y, fn(x, y)):
+            bound = 4.0 + (2.0 * float(_mp_gap_log(a, b)) if mixed and lanes == "far" else 0.0)
+            assert _ulps(v, exact(a, b)) <= bound, (a, b, v)
+
+    def test_the_diagonal_returns_the_argument(self):
+        # the log gap is 0 there, and _gap_log guards it with 1.0
+        x, _ = LOG_GAP_LANES["diagonal"]
+        for name, (fn, _, _) in LOG_GAP_SUBJECTS.items():
+            assert np.array_equal(fn(x, x), 1.0 + 0.0 * x if name == "gap_log" else x), name
+
+
+class TestFarRatios:
+    # arguments more than 308 decades apart: a Stolarsky mean with a
+    # negative parameter overflowed expm1 there (0.0 or nan, with a
+    # RuntimeWarning), and the power mean's ratio o/b left the float range.
+    # A RuntimeWarning fails these tests (pyproject's filterwarnings)
+
+    @pytest.mark.parametrize("r,s,x,y", [(2.0, -1.0, 1e-200, 1e200),
+                                         (-1.0, -2.0, 1e-300, 1e300),
+                                         (-2.5, 0.5, 1e200, 1e-200),
+                                         (0.5, -0.5, 1e-300, 1e300)])
+    def test_stolarsky_with_a_negative_parameter(self, r, s, x, y):
+        got = im.stolarsky(r, s)(x, y)
+        assert _ulps(got, _mp_stolarsky(r, s, x, y)) <= 4.0 + 2.0 * float(_mp_gap_log(x, y))
+
+    @pytest.mark.parametrize("r,s", [(-1.0, -2.0), (2.0, -1.0), (-2.5, 0.5)])
+    def test_a_scan_across_600_decades_passes(self, r, s):
+        cfg = im.ScanConfig(domain=(1e-300, 1e300))
+        assert im.check_meanness(im.stolarsky(r, s), cfg).passed
+
+    @pytest.mark.parametrize("p", [1e-3, -1e-3, 1e-2, -1e-2, 0.5, -0.5, 2.0, -3.0])
+    @pytest.mark.parametrize("x,y", [(1e-200, 1e200), (1e300, 1e-300), (5e-324, 1.0),
+                                     (1e-10, 1e300)])
+    def test_power_mean(self, p, x, y):
+        # log r = log o - log b carries the rounding of two logs up to 745
+        # into the result, so the bound grows like |log(x/y)| ulps
+        with mpmath.workdps(80):
+            a, b, pp = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(p)
+            exact = ((a ** pp + b ** pp) / 2) ** (1 / pp)
+        got = im.power_mean(p)(x, y)
+        assert _ulps(got, exact) <= 4.0 + abs(math.log(x) - math.log(y))
 
 
 class TestStructuralIdentities:

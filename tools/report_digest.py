@@ -14,14 +14,16 @@ cli      the benchmark's CLI cases for seed 1: exit code and stdout
 specs    40,000 generated mean expressions, seed 1, most of them malformed:
          each parse's result type, spec and label, or its exception
          class, message and position
-evaluators  the raw evaluators ``.fn`` of every catalog mean, five power
-         and five Stolarsky means and the n-ary arithmetic mean (n = 2,
+evaluators  the raw evaluators ``.fn`` of every catalog mean, seven power
+         and six Stolarsky means and the n-ary arithmetic mean (n = 2,
          3, 5) on the lanes no scan reaches: the 18 x 18 grid of 0,
          subnormals, DBL_MIN, 1 + 2**-52, 1e300, DBL_MAX, inf and nan
-         (among others), near-diagonal pairs across 1e-300 .. 1e300, a
-         tiled copy longer than three blocks, 0-d scalars, 0-d against
-         1-D and an (18, 1) x (1, 18) outer product; each output's dtype,
-         shape and bytes, or its exception class and message
+         (among others), near-diagonal pairs across 1e-300 .. 1e300,
+         pairs more than 308 decades apart such as (1e-200, 1e200) and
+         (1e-300, 1e300) in both orders, a tiled copy longer than three
+         blocks, 0-d scalars, 0-d against 1-D and an (18, 1) x (1, 18)
+         outer product; each output's dtype, shape and bytes, or its
+         exception class and message
 failures every check on subjects that raise on one planted lane (the
          first, one in the second block or the middle of a one-block set,
          the last) at points_per_axis 16 and 32: F(x, y) of the meanness,
@@ -206,9 +208,10 @@ EDGE_VALUES = np.array([
 
 def _evaluator_subjects() -> list:
     return ([im.classical(name).fn for name in im.CLASSICAL_NAMES]
-            + [im.power_mean(p).fn for p in (-3.0, -0.5, 0.5, 2.0, 7.0)]
+            + [im.power_mean(p).fn for p in (-3.0, -0.5, 0.5, 2.0, 7.0, 1e-3, -1e-3)]
             + [im.stolarsky(r, s).fn for r, s in
-               ((3.0, 1.0), (-2.0, 1.0), (0.5, -0.5), (-3.0, -1.0), (2.0, -1.0))])
+               ((3.0, 1.0), (-2.0, 1.0), (0.5, -0.5), (-3.0, -1.0), (2.0, -1.0),
+                (-1.0, -2.0))])
 
 
 def _evaluator_inputs() -> list:
@@ -221,7 +224,12 @@ def _evaluator_inputs() -> list:
     near = (np.repeat(base, gaps.size), np.outer(base, 1.0 + gaps).ravel())
     both = tuple(np.concatenate(c) for c in zip(grid, near))
     copies = 3 * _BLOCK // both[0].size + 1
-    inputs = [grid, near, tuple(np.tile(c, copies) for c in both)]
+    # arguments more than 308 decades apart, where a ratio or a gap
+    # divided by the lesser leaves the float range
+    lo = np.array([1e-200, 1e-300, 5e-324, 1e-10, 1e-320, 3e-160])
+    hi = np.array([1e200, 1e300, 1.0, 1e300, 1e-5, 2e150])
+    far = (np.concatenate([lo, hi]), np.concatenate([hi, lo]))
+    inputs = [grid, near, far, tuple(np.tile(c, copies) for c in both)]
     inputs += [(np.asarray(a), np.asarray(b)) for a, b in zip(*grid)]
     inputs += [(np.float64(a), v) for a in v] + [(v, np.asarray(b)) for b in v]
     inputs.append((v[:, None], v[None, :]))
