@@ -30,11 +30,24 @@ ratio where its arguments are more than 2**1000 apart, its limits at 0
 and inf, the halved sum of the arithmetic mean where the sum overflows
 and the tiny-argument form of the harmonic mean where it underflows
 (and, in ``multivar``, the scaled form of the n-ary arithmetic mean).
-Scans sample log-uniform pairs, so those lanes are rare.  A scalar call takes the same path: ``_patch`` replaces a 0-d
-result whole.  The power mean takes one power per lane: the term of the
+Scans sample log-uniform pairs, so those lanes are rare.
+
+A scalar call takes the same path: ``_patch`` replaces a 0-d result
+whole.  The power mean takes one power per lane: the term of the
 argument it factors out is exactly 1.  For |p| < 1e-2 it takes an
 expm1/log1p form instead, chosen once when it is built, which keeps its
 relative accuracy as p goes to 0.
+
+An evaluator writes only into arrays it allocated itself, never into
+its arguments or into what another evaluator returned (``proj1`` returns
+a view of its argument, ``_pow(x, 1.0)`` returns x).  A temporary that
+is used once is updated in place by augmented operators (``w *= t``),
+which also serve the scalar path: on a numpy scalar they rebind the
+name, so a 0-d call takes no extra branch.  The temporary so updated
+has the broadcast shape of the arguments (a (1,) array cannot take an
+(n,) update in place).  ``out=`` arguments, which a numpy scalar does
+not take, are left to the array-only code of ``_patch``, ``_blockwise``
+and the scans.
 
 The catalog (``_catalog``) is homogeneous and monotone, and each of its
 means is labelled by its spec.  ``classical`` looks up the named means
@@ -170,7 +183,9 @@ def _pow(x, t: float):
     """x**t computed as exp(t*log x), uniform over the positive range; t != 0."""
     if t == 1.0:
         return np.asarray(x, dtype=float)
-    return np.exp(t * np.log(x))
+    w = np.log(x)
+    w *= t
+    return np.exp(w)
 
 
 def _patch(out, mask, fn, *cols):
@@ -187,7 +202,7 @@ def _patch(out, mask, fn, *cols):
     """
     if getattr(out, "ndim", 0) == 0:  # np.ndim costs ten times as much
         return fn(*cols) if mask else out
-    if mask.any():
+    if np.count_nonzero(mask):  # one pass, cheaper than mask.any()
         lanes = np.nonzero(mask)
         # the shape test keeps the common same-shape columns off the
         # slower broadcast_to path
@@ -221,12 +236,20 @@ def _gap_log(hi, lo, d):
     beyond; the lanes whose log passes 650, below log(2**945), are
     patched with log(hi) - log(lo).  A lane with hi = inf stays nan
     (inf/inf).  On the exact diagonal the log gap is 0 and a quotient by
-    it 0/0: there it is guarded with 1.0, and the caller's clamp to
-    [lo, hi] returns the argument itself.
+    it 0/0: there it is guarded with 1.0 (patched on the d == 0 lanes
+    only, so (0, 0) stays nan), and the caller's clamp to [lo, hi]
+    returns the argument itself.
     """
-    w = np.log1p(d / (lo + hi * _FAR))
+    g = hi * _FAR
+    g += lo
+    w = np.log1p(d / g)
     w = _patch(w, w > 650.0, _log_ratio, hi, lo)
-    return w + (d == 0.0)
+    return _patch(w, d == 0.0, _guarded, w)
+
+
+def _guarded(w):
+    # the diagonal's log gap, 0 (or nan at (0, 0)), plus the guard
+    return w + 1.0
 
 
 @_blockwise
@@ -239,8 +262,8 @@ def _logmean(x, y):
     # arguments are an ulp or two apart; nan stays nan
     hi = np.maximum(x, y)
     lo = np.minimum(x, y)
-    d = hi - lo
-    m = d / _gap_log(hi, lo, d)
+    m = hi - lo
+    m /= _gap_log(hi, lo, m)
     return np.minimum(np.maximum(m, lo), hi)
 
 
@@ -251,7 +274,8 @@ def _arithmetic_fn(x, y):
     # 0.5*x + 0.5*y, where halving arguments that large is exact.  The
     # mask is m == inf, not np.isinf(m): on a scalar call the comparison
     # costs a tenth of the ufunc, and positive arguments never give -inf
-    m = 0.5 * (x + y)
+    m = x + y
+    m *= 0.5
     return _patch(m, m == np.inf, _halves, x, y)
 
 
@@ -297,13 +321,18 @@ def _power_fn(p: float):
         # and the 1/p power multiplies that error by 1/|p|; with r**p - 1
         # taken as expm1(p log r) and the 1/p power as exp(log1p(.)/p) the
         # relative accuracy holds as p goes to 0
-        def factor(b, lr):
+        def factor(lr):
             return np.exp(np.log1p(0.5 * np.expm1(p * lr)) / p)
     else:
-        # the term of b itself, (b/b)**p, is b/b: exactly 1.0 on finite
-        # nonzero b, so it costs no power
-        def factor(b, lr):
-            return _pow(0.5 * (b / b + np.exp(p * lr)), 1.0 / p)
+        # the term of b itself, (b/b)**p, is exactly 1.0 on finite nonzero
+        # b, so it costs no power; on the other lanes (b = 0, inf or nan)
+        # the result is patched with b below or is nan anyway
+        def factor(lr):
+            lr *= p
+            f = np.exp(lr)
+            f += 1.0
+            f *= 0.5
+            return _pow(f, 1.0 / p)
 
     def fn(x, y):
         # factor out b = max(x, y) (min for p < 0) so the power stays in
@@ -319,7 +348,9 @@ def _power_fn(p: float):
         floor = hi * _FAR
         lo = np.maximum(lo, floor)
         lr = _patch(np.log(lo / hi if p > 0 else hi / lo), lo == floor, _log_ratio, o, b)
-        return _patch(b * factor(b, lr), (b == 0.0) | (b == np.inf), lambda b: b, b)
+        f = factor(lr)  # lr is a fresh array, which factor may overwrite
+        f *= b
+        return _patch(f, (b == 0.0) | (b == np.inf), lambda b: b, b)
 
     return _blockwise(fn)
 
@@ -351,6 +382,7 @@ def stolarsky(r: float, s: float) -> Mean:
         raise ParameterError("stolarsky mean requires nonzero r and s")
     q = 1.0 / (r - s)
     coeff = abs(s / r)
+    nr, ns = -abs(r), -abs(s)
     # With w = log(hi/lo), hi**a - lo**a is -hi**a*expm1(-a*w) for a > 0
     # and lo**a*expm1(a*w) for a < 0: every expm1 argument is -|a|*w <= 0,
     # so none overflows however far apart the arguments are.  The factored
@@ -361,24 +393,55 @@ def stolarsky(r: float, s: float) -> Mean:
     # signs it is hi*exp(-k*w) for k <= 1/2 and sqrt(hi)*sqrt(lo)*
     # exp((1/2 - k)*w) above, which keeps exp in range
     if r > 0.0 and s > 0.0:
-        base = shift = None
+        scaled = shift = None
     elif r < 0.0 and s < 0.0:
-        base, shift = (lambda hi, lo: lo), 0.0
+        scaled, shift = _scaled_lo, 0.0
     else:
         k = -min(r, s) / abs(r - s)
-        base, shift = ((lambda hi, lo: hi), k) if k <= 0.5 else (_geometric_fn, k - 0.5)
+        scaled, shift = (_scaled_hi, k) if k <= 0.5 else (_scaled_geometric, k - 0.5)
 
     def fn(x, y):
         # the clamp of _logmean
         hi = np.maximum(x, y)
         lo = np.minimum(x, y)
         w = _gap_log(hi, lo, hi - lo)
-        core = coeff * np.expm1(-abs(r) * w) / np.expm1(-abs(s) * w)
-        out = (hi * _pow(core, q) if base is None
-               else base(hi, lo) * np.exp(q * np.log(core) - shift * w))
+        core = np.expm1(nr * w)
+        core *= coeff
+        core /= np.expm1(ns * w)
+        if scaled is None:
+            out = _pow(core, q)
+            out *= hi
+        else:
+            out = np.log(core)
+            out *= q
+            out -= shift * w
+            out = scaled(np.exp(out), hi, lo)
         return np.minimum(np.maximum(out, lo), hi)
 
     return _catalog(_blockwise(fn), f"stolarsky:{r!r}:{s!r}")
+
+
+# A Stolarsky mean's fresh factor f times the argument it factored out,
+# in place
+
+def _scaled_hi(f, hi, lo):
+    f *= hi
+    return f
+
+
+def _scaled_lo(f, hi, lo):
+    # f >= 1 here, so f*lo can pass DBL_MAX where lo is near it: on the
+    # diagonal, whose guarded log gap 1.0 gives f = M(e, 1) > 1, and where
+    # the mean rounds up to DBL_MAX.  The clamp to [lo, hi] returns hi on
+    # those lanes, so the overflow is silenced
+    with np.errstate(over="ignore"):
+        f *= lo
+    return f
+
+
+def _scaled_geometric(f, hi, lo):
+    f *= _geometric_fn(hi, lo)
+    return f
 
 
 def _catalog(fn, name: str, symmetric: bool = True, strict: bool = True) -> Mean:

@@ -155,7 +155,8 @@ def _component(kernel: Callable, i: int) -> Callable:
 
     def fn(xs):
         powers, ratio, _ = kernel(xs)
-        return powers[0][i] * ratio
+        ratio *= powers[0][i]  # the ratio is fresh: K_i takes its place
+        return ratio
 
     return fn
 

@@ -289,10 +289,15 @@ def _scan(tol: float, lanes, measure, samples: int | None = None,
                 if viol.size == 0:
                     continue
                 count += viol.size
-                ranked = np.where(np.isfinite(viol), viol, np.inf)
-                i = int(np.argmax(ranked))
-                if ranked[i] > worst:
-                    worst = float(ranked[i])
+                i = int(np.argmax(viol))
+                if not (viol[i] < math.inf and viol.min() > -math.inf):
+                    # a non-finite lane (nan, +inf or -inf, which argmax
+                    # alone would rank apart) ranks as +inf: the copy is
+                    # paid only by a block that has one
+                    viol = np.where(np.isfinite(viol), viol, np.inf)
+                    i = int(np.argmax(viol))
+                if viol[i] > worst:
+                    worst = float(viol[i])
                     witness = tuple(float(c[i]) for c in columns)
         except Exception as exc:
             return _failure_report(measure, lanes if rows is None else rows(), exc)
@@ -304,8 +309,12 @@ def _scan(tol: float, lanes, measure, samples: int | None = None,
 
 
 def _envelope(lo, hi, v):
-    # signed excursion of v outside [lo, hi], relative to hi
-    return np.maximum(lo - v, v - hi) / hi
+    # signed excursion of v outside [lo, hi], relative to hi; lo and hi
+    # are the caller's fresh arrays, and lo is overwritten with the result
+    lo -= v
+    np.maximum(lo, v - hi, out=lo)
+    lo /= hi
+    return lo
 
 
 def check_meanness(F, cfg: ScanConfig | None = None) -> ScanReport:
@@ -332,7 +341,8 @@ def _invariance_terms(pair, x, y):
     with np.errstate(all="ignore"):
         kv, lv, outer = (_lanes(v, x) for v in pair.evaluate(x, y))
         inner = _lanes(pair.target.fn(kv, lv), kv)
-        residual = np.abs(inner - outer) / outer
+        residual = np.abs(inner - outer)
+        residual /= outer
     return kv, lv, inner, outer, residual
 
 

@@ -23,7 +23,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import invmeans as im
-from invmeans import means
+from invmeans import complement, means
 from invmeans.verify import _pair_samples
 
 BLOCK = means._BLOCK
@@ -628,3 +628,124 @@ class TestTranslativeFusedEvaluator:
         for fn in (pair.K.fn, pair.L.fn, pair.evaluate):
             with pytest.raises(OverflowError, match="700"):
                 fn(x, y)
+
+
+def _read_only(*arrays):
+    out = tuple(np.array(a, dtype=float) for a in arrays)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _argument_subjects():
+    """Every evaluator kind, each as fn(*args): bivariate ones take (x, y)."""
+    P1, P2 = im.classical("proj1"), im.classical("proj2")
+    out = {name: M.fn for name, M in _catalog().items()}
+    for p in (-3.0, 1.0, 7.0, 1e-3, -1e-3):
+        out[f"power:{p!r}"] = im.power_mean(p).fn
+    for r, s in ((2.0, 1.0), (0.5, -0.5), (-3.0, -1.0), (2.0, -1.0), (-1.0, -2.0)):
+        out[f"stolarsky:{r!r}:{s!r}"] = im.stolarsky(r, s).fn
+    pairs = dict(_pairs())
+    pairs["general-proj"] = im.general_pair(G, P1, P2, 0.5)
+    # components that return (views of) their arguments, and powers at
+    # t = 1 that return the components themselves: _pow(x, 1.0) is x
+    pairs["kernel-t1-proj"] = complement._kernel_pair(
+        G, complement._component_values(P1, P2), 1.0, "pair", "t=1", True, True, None)
+    for name, pair in pairs.items():
+        out[f"{name}.K"] = pair.K.fn
+        out[f"{name}.L"] = pair.L.fn
+        out[f"{name}.fused"] = pair.evaluate
+    out["general_base"] = im.general_base(A, A, H, 0.5).fn
+    out["general_base-proj"] = im.general_base(G, P1, P2, 0.5).fn
+    out["self_complement_base"] = im.self_complement_base(L, 0.5).fn
+    return out
+
+
+def _nary_subjects():
+    A3, G3 = im.nary_arithmetic(3), im.nary_geometric(3)
+    out = {"arithmetic[3]": A3.fn, "geometric[3]": G3.fn,
+           "nt[3]": im.nary_general_base(A3, (A3, G3, G3), 0.5).fn}
+    for i, K in enumerate(im.nary_invariant_tuple(A3, (A3, G3, A3), 0.25)):
+        out[f"tuple.K{i + 1}[3]"] = K.fn
+    return out
+
+
+def _argument_inputs():
+    x, y = _lanes(3 * BLOCK + 5)
+    return {"long": (x, y), "0d": (np.asarray(2.0), np.asarray(7.0)),
+            "0d-diagonal": (np.asarray(5.0), np.asarray(5.0)),
+            "length1-x": (np.array([2.0]), y), "length1-y": (x, np.array([0.25])),
+            "scan-set": _pair_samples(im.DEFAULT_CONFIG)}
+
+
+ARGUMENT_SUBJECTS = _argument_subjects()
+NARY_SUBJECTS = _nary_subjects()
+
+
+class TestEvaluatorsLeaveTheirArguments:
+    # an evaluator writes only into arrays it allocated itself: on
+    # read-only arguments a write into one raises, and writable copies
+    # come back unchanged
+
+    @pytest.mark.parametrize("inputs", _argument_inputs())
+    @pytest.mark.parametrize("subject", ARGUMENT_SUBJECTS)
+    def test_bivariate_arguments_are_unchanged(self, subject, inputs):
+        fn = ARGUMENT_SUBJECTS[subject]
+        given = _argument_inputs()[inputs]
+        kept = tuple(a.copy() for a in given)
+        with np.errstate(all="ignore"):
+            read_only = _as_tuple(fn(*_read_only(*given)))
+            writable = _as_tuple(fn(*(a.copy() for a in given)))
+        for a, b in zip(read_only, writable):
+            assert np.array_equal(a, b, equal_nan=True)
+        for a, k in zip(given, kept):
+            assert np.array_equal(a, k)
+        # a writable call also leaves its own arguments alone
+        args = tuple(a.copy() for a in given)
+        with np.errstate(all="ignore"):
+            fn(*args)
+        for a, k in zip(args, kept):
+            assert np.array_equal(a, k)
+
+    @pytest.mark.parametrize("shape", [(3, 3 * BLOCK + 5), (3,), (3, 1)])
+    @pytest.mark.parametrize("subject", NARY_SUBJECTS)
+    def test_nary_arguments_are_unchanged(self, subject, shape):
+        fn = NARY_SUBJECTS[subject]
+        xs = np.exp(np.random.default_rng(4).uniform(-13.0, 13.0, shape))
+        kept = xs.copy()
+        with np.errstate(all="ignore"):
+            read_only = fn(*_read_only(xs))
+            writable = fn(xs)
+        assert np.array_equal(read_only, writable)
+        assert np.array_equal(xs, kept)
+
+    def test_a_unit_power_returns_its_argument(self):
+        # the hazard the kernel must respect: this power is no fresh array
+        x = np.array([2.0, 3.0])
+        assert means._pow(x, 1.0) is x
+        assert np.shares_memory(im.classical("proj1").fn(x, 1.0), x)
+
+
+# the positive finite values of the edge grid of the ``evaluators``
+# report family (tools/report_digest.py), which a validated call takes
+POSITIVE_EDGES = np.array([
+    5e-324, 1e-310, sys.float_info.min, 4.5e-308, 1e-300, 1e-8, 0.5, 1.0,
+    1.0 + 2.0 ** -52, 2.0, 3.0, 1e8, 1e300, 8.98e307, sys.float_info.max,
+])
+EDGE_STOLARSKY = ((3.0, 1.0), (-2.0, 1.0), (0.5, -0.5), (-3.0, -1.0), (2.0, -1.0),
+                  (-1.0, -2.0), (-0.3, -0.7))
+
+
+@pytest.mark.parametrize("r, s", EDGE_STOLARSKY)
+def test_validated_stolarsky_calls_on_the_edge_grid_raise_no_warning(r, s):
+    # pytest turns RuntimeWarning into an error (pyproject.toml); a mean
+    # with two negative parameters takes lo*F with F >= 1, which overflowed
+    # on the guarded diagonal at (DBL_MAX, DBL_MAX) before the clamp
+    M = im.stolarsky(r, s)
+    x = np.repeat(POSITIVE_EDGES, POSITIVE_EDGES.size)
+    y = np.tile(POSITIVE_EDGES, POSITIVE_EDGES.size)
+    v = M(x, y)
+    assert np.all((np.minimum(x, y) <= v) & (v <= np.maximum(x, y)))
+    for a, b, want in zip(x, y, v):
+        assert M(a, b) == want
+    assert M(sys.float_info.max, sys.float_info.max) == sys.float_info.max

@@ -94,6 +94,64 @@ class TestRunningArgmax:
         assert lane_of(report) == 30000
 
 
+
+def _blocked_scan(*blocks):
+    """``_scan`` over a synthetic measure that yields the given violation blocks.
+
+    Each lane's witness is its index over all blocks.
+    """
+    v = np.concatenate([np.asarray(b, dtype=float) for b in blocks])
+    lane = np.arange(v.size, dtype=float)
+
+    def measure(v, lane):
+        start = 0
+        for b in blocks:
+            part = slice(start, start + len(b))
+            start += len(b)
+            yield v[part], (lane[part],)
+
+    return _scan(1.0, (v, lane), measure)
+
+
+class TestRankingPaths:
+    # a block of finite violations is reduced by argmax alone; a block
+    # with a nan, +inf or -inf lane ranks every such lane as +inf
+
+    def test_a_lone_minus_inf_among_finite_lanes_is_the_witness(self):
+        report = _blocked_scan([0.5, 3.0, -math.inf, 2.0])
+        assert report == im.ScanReport(False, math.inf, (2.0,), 4,
+                                       "non-finite evaluation at witness")
+
+    @pytest.mark.parametrize("later", [math.nan, math.inf])
+    def test_an_earlier_minus_inf_beats_a_later_non_finite_block(self, later):
+        report = _blocked_scan([0.5, -math.inf, 2.0], [later, 1.0])
+        assert report.worst_violation == math.inf
+        assert report.witness == (1.0,)
+
+    @pytest.mark.parametrize("first", [math.nan, math.inf, -math.inf])
+    def test_a_later_minus_inf_loses_to_an_earlier_non_finite_block(self, first):
+        report = _blocked_scan([0.5, first], [-math.inf, 1.0])
+        assert report.witness == (1.0,)
+
+    def test_a_tie_keeps_the_earlier_lane_on_either_path(self):
+        # a finite tie across two all-finite blocks, a non-finite tie
+        # across two mixed blocks with an all-finite block between them,
+        # and a larger finite block after a mixed one: the earlier wins
+        report = _blocked_scan([0.5, 2.0, 1.0], [2.0, -3.0, 0.0])
+        assert (report.worst_violation, report.witness) == (2.0, (1.0,))
+        report = _blocked_scan([0.5, math.nan], [1e300, 2.0], [math.inf, 4.0])
+        assert (report.worst_violation, report.witness) == (math.inf, (1.0,))
+        report = _blocked_scan([2.0, -math.inf], [1e308, 2.0])
+        assert (report.worst_violation, report.witness) == (math.inf, (1.0,))
+
+    def test_all_finite_blocks_give_the_single_argmax(self):
+        v = np.random.default_rng(3).normal(size=3 * _BLOCK + 5)
+        blocks = [v[i:i + _BLOCK] for i in range(0, v.size, _BLOCK)]
+        report = _blocked_scan(*blocks)
+        assert report.witness == (float(np.argmax(v)),)
+        assert report.worst_violation == v.max()
+
+
 class TestEmptyBlocks:
     def test_a_block_may_keep_no_lanes(self):
         # blocks of 3, 0 and 2 violations: the empty one adds no lanes and
