@@ -100,6 +100,10 @@ class Mean:
 
     ``spec`` is the machine-readable constructor string for this mean when
     one exists in the textual grammar, otherwise None.
+
+    ``fn`` is the raw evaluator: it takes float64 arrays or scalars
+    (calling the mean converts its arguments to those and validates
+    them) and checks nothing.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -180,9 +184,12 @@ class _blockwise:
 
 
 def _pow(x, t: float):
-    """x**t computed as exp(t*log x), uniform over the positive range; t != 0."""
+    """x**t computed as exp(t*log x), uniform over the positive range; t != 0.
+
+    At t = 1 it is x itself, not a copy.
+    """
     if t == 1.0:
-        return np.asarray(x, dtype=float)
+        return x
     w = np.log(x)
     w *= t
     return np.exp(w)
@@ -393,12 +400,18 @@ def stolarsky(r: float, s: float) -> Mean:
     # signs it is hi*exp(-k*w) for k <= 1/2 and sqrt(hi)*sqrt(lo)*
     # exp((1/2 - k)*w) above, which keeps exp in range
     if r > 0.0 and s > 0.0:
-        scaled = shift = None
+        base = shift = None
     elif r < 0.0 and s < 0.0:
-        scaled, shift = _scaled_lo, 0.0
+        base, shift = (lambda hi, lo: lo), 0.0
     else:
         k = -min(r, s) / abs(r - s)
-        scaled, shift = (_scaled_hi, k) if k <= 0.5 else (_scaled_geometric, k - 0.5)
+        base, shift = ((lambda hi, lo: hi), k) if k <= 0.5 else (_geometric_fn, k - 0.5)
+    # with two negative parameters the factor is >= 1, so its product with
+    # lo can pass DBL_MAX where lo is near it: on the diagonal, whose
+    # guarded log gap 1.0 gives a factor M(e, 1) > 1, and where the mean
+    # rounds up to DBL_MAX.  The clamp to [lo, hi] returns hi on those
+    # lanes, so that overflow is silenced
+    quiet = r < 0.0 and s < 0.0
 
     def fn(x, y):
         # the clamp of _logmean
@@ -408,40 +421,22 @@ def stolarsky(r: float, s: float) -> Mean:
         core = np.expm1(nr * w)
         core *= coeff
         core /= np.expm1(ns * w)
-        if scaled is None:
+        if base is None:
             out = _pow(core, q)
             out *= hi
         else:
             out = np.log(core)
             out *= q
             out -= shift * w
-            out = scaled(np.exp(out), hi, lo)
+            out = np.exp(out)
+            if quiet:
+                with np.errstate(over="ignore"):
+                    out *= base(hi, lo)
+            else:
+                out *= base(hi, lo)
         return np.minimum(np.maximum(out, lo), hi)
 
     return _catalog(_blockwise(fn), f"stolarsky:{r!r}:{s!r}")
-
-
-# A Stolarsky mean's fresh factor f times the argument it factored out,
-# in place
-
-def _scaled_hi(f, hi, lo):
-    f *= hi
-    return f
-
-
-def _scaled_lo(f, hi, lo):
-    # f >= 1 here, so f*lo can pass DBL_MAX where lo is near it: on the
-    # diagonal, whose guarded log gap 1.0 gives f = M(e, 1) > 1, and where
-    # the mean rounds up to DBL_MAX.  The clamp to [lo, hi] returns hi on
-    # those lanes, so the overflow is silenced
-    with np.errstate(over="ignore"):
-        f *= lo
-    return f
-
-
-def _scaled_geometric(f, hi, lo):
-    f *= _geometric_fn(hi, lo)
-    return f
 
 
 def _catalog(fn, name: str, symmetric: bool = True, strict: bool = True) -> Mean:

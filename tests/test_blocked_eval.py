@@ -726,6 +726,22 @@ class TestEvaluatorsLeaveTheirArguments:
         assert np.shares_memory(im.classical("proj1").fn(x, 1.0), x)
 
 
+SCALAR_ARGS = ((2.0, 7.0), (np.float64(2.0), np.float64(7.0)),
+               (np.asarray(2.0), np.asarray(7.0)))
+
+
+@pytest.mark.parametrize("M", [im.power_mean(p) for p in (1.0, 2.0, -3.0, 1e-3)]
+                         + [im.stolarsky(r, s) for r, s in ((2.0, 1.0), (3.0, 1.0),
+                                                            (-3.0, -1.0), (2.0, -1.0))],
+                         ids=lambda M: M.label)
+def test_a_scalar_call_of_the_raw_evaluator_returns_a_numpy_scalar(M):
+    # a unit power returns its argument: at p = 1 (and r - s = 1) the
+    # factor stays the numpy scalar it was, not a 0-d array that the
+    # in-place product would keep
+    for args in SCALAR_ARGS:
+        assert type(M.fn(*args)) is np.float64
+
+
 # the positive finite values of the edge grid of the ``evaluators``
 # report family (tools/report_digest.py), which a validated call takes
 POSITIVE_EDGES = np.array([

@@ -1,12 +1,9 @@
 """Print one sha256 per report family, to compare two checkouts bit for bit.
 
-    PYTHONPATH=src python3 tools/report_digest.py [FAMILY ...]
+    PYTHONPATH=src python3 tools/report_digest.py
 
-With no argument it prints every family below, in this order; with
-names it runs only those families, still in this order.  An unknown
-name exits with status 2 and lists the families.  The package under
-test is whichever ``invmeans`` the interpreter imports (its location
-goes to stderr); the subjects and inputs come from
+The package under test is whichever ``invmeans`` the interpreter imports
+(its location goes to stderr); the subjects and inputs come from
 ``perfbench/workloads.py`` of this checkout.  Families:
 
 sweep    the 6,482 sweep reports (every row of the sweep table, in table
@@ -403,21 +400,13 @@ FAMILIES = {f.__name__: f for f in (sweep, bigscan, iterate, cli, specs, evaluat
                                     failures, escape, real)}
 
 
-def main(names: list[str]) -> int:
-    unknown = [name for name in names if name not in FAMILIES]
-    if unknown:
-        print(f"unknown family: {' '.join(unknown)}; the families are: "
-              f"{' '.join(FAMILIES)}", file=sys.stderr)
-        return 2
+def main() -> None:
     print(f"invmeans from {Path(im.__file__).parent}", file=sys.stderr)
     for name, family in FAMILIES.items():
-        if names and name not in names:
-            continue
         h = hashlib.sha256()
         count = family(h)
         print(f"{name} {count} {h.hexdigest()}", flush=True)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
