@@ -20,14 +20,16 @@ import sys
 import numpy as np
 
 from .complement import general_pair, xy_pair
-from .errors import MeansError, ParameterError
+from .errors import MeansError
 from .iterate import iterate_pair
+from .means import _read
 from .multivar import counterexample_ratio
 from .projective import builtin_cone
 from .specs import parse_mean, parse_pair
 from .verify import (
     ScanConfig,
     _invariance_terms,
+    _sized,
     check_flags,
     check_invariance,
     check_meanness,
@@ -85,16 +87,14 @@ def _emit_table(args, fields: dict, notes: list[str], columns: list[str],
     return 0
 
 
+def _grid(text: str) -> tuple[float, float, int]:
+    lo, hi, n = text.split(":")
+    return float(lo), float(hi), int(n)
+
+
 def _scan_config(args) -> ScanConfig:
-    pieces = args.grid.split(":")
-    if len(pieces) != 3:
-        raise ParameterError(f"--grid must look like lo:hi:n, got {args.grid!r}")
-    try:
-        lo, hi, n = float(pieces[0]), float(pieces[1]), int(pieces[2])
-    except ValueError:
-        raise ParameterError(
-            f"--grid must look like lo:hi:n, got {args.grid!r}"
-        ) from None
+    lo, hi, n = _read(args.grid, _grid, lambda grid: True,
+                      "--grid must look like lo:hi:n, got {!r}")
     return ScanConfig(domain=(lo, hi), points_per_axis=n,
                       rel_tol=args.tol, seed=args.seed)
 
@@ -141,6 +141,15 @@ def _cmd_check(args) -> int:
 _PAIR_COLUMNS = ["x", "y", "K", "L", "M_of_KL", "M_of_xy", "residual"]
 
 
+@_sized
+def _table_grid(cfg: ScanConfig, n: int):
+    # the n x n log grid over the domain, raveled; too large to allocate
+    # raises ParameterError, as a scan's sample set does
+    axis = np.geomspace(*cfg.domain, n)
+    gx, gy = np.meshgrid(axis, axis)
+    return gx.ravel(), gy.ravel()
+
+
 def _cmd_complement(args) -> int:
     cfg = _scan_config(args)
     M = parse_mean(args.mean)
@@ -163,11 +172,7 @@ def _cmd_complement(args) -> int:
         description = (f"K = P^t*M/M(x^t,y^t) with P selecting x on "
                        f"{cone.name!r}, L on its complement; "
                        f"M={M.label}, t={args.t!r}")
-    lo, hi = cfg.domain
-    n = cfg.points_per_axis if args.emit == "csv" else 5
-    axis = np.geomspace(lo, hi, n)
-    gx, gy = np.meshgrid(axis, axis)
-    xs, ys = gx.ravel(), gy.ravel()
+    xs, ys = _table_grid(cfg, cfg.points_per_axis if args.emit == "csv" else 5)
     rows = np.column_stack([xs, ys, *_invariance_terms(pair, xs, ys)])
     fields = {"pair_spec": pair.spec, "description": description,
               "K": pair.K.label, "L": pair.L.label, "target": pair.target.label,
@@ -282,8 +287,8 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (MeansError, OverflowError, MemoryError) as exc:
-        # MemoryError: a --grid too large to allocate where the grid is not
-        # a scan's sample set (the complement table)
+        # MemoryError: a complement table whose grid fits but whose
+        # columns do not
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,8 +44,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .means import Mean, _blockwise, _pow, classical
+from .errors import DomainError
+from .means import Mean, _blockwise, _pow, _read, _unit, classical
 from .projective import (ConeSet, _selections, builtin_cone, complement_cone,
                          projective_mean)
 
@@ -183,6 +183,10 @@ def _kernel_base(M: Mean, components: Callable, t: float, label: str,
                 homogeneous=homogeneous, monotone=False, strict=False, spec=spec)
 
 
+def _signed_unit(t) -> bool:
+    return -1.0 < t < 1.0
+
+
 def _coordinates(x, y):
     return x, y
 
@@ -214,9 +218,8 @@ def log_pair(t: float, A: ConeSet | None = None) -> MeanPair:
     two coordinate selections, at t = -1 the ratio is xy and the
     selections swap.  Negating t swaps K and L.
     """
-    t = float(t)
-    if not (-1.0 <= t <= 1.0) or t == 0.0:
-        raise ParameterError("log pair requires t in [-1, 1] with t != 0")
+    t = _read(t, float, lambda t: -1.0 <= t <= 1.0 and t != 0.0,
+              "log pair requires t in [-1, 1] with t != 0")
     return _selection_pair(classical("logarithmic"), t, A, "logpair", "")
 
 
@@ -229,9 +232,7 @@ def self_complement_base(M: Mean, t: float) -> Mean:
     and mean-ness is left to an explicit verify call.  M_0 = M and
     geometric reproduces itself for every t.
     """
-    t = float(t)
-    if not (-1.0 < t < 1.0):
-        raise ParameterError("self-complementary base requires -1 < t < 1")
+    t = _read(t, float, _signed_unit, "self-complementary base requires -1 < t < 1")
     if not (M.symmetric and M.homogeneous):
         raise DomainError(
             f"{M.label}: base construction requires symmetric and homogeneous flags"
@@ -259,17 +260,13 @@ def xy_pair(M: Mean, t: float, A: ConeSet | None = None) -> MeanPair:
     it is a cone; they are not monotone in general, which
     check_monotone_trace exposes for the plain arithmetic case.
     """
-    t = float(t)
-    if not (-1.0 < t < 1.0):
-        raise ParameterError("xy pair requires -1 < t < 1")
+    t = _read(t, float, _signed_unit, "xy pair requires -1 < t < 1")
     _require_target(M, "xy pair")
     return _selection_pair(M, t, A, "xypair", f"{M.label}, ")
 
 
 def _require_pair_inputs(M: Mean, t: float, what: str) -> float:
-    t = float(t)
-    if not (0.0 < t < 1.0):
-        raise ParameterError(f"{what} requires 0 < t < 1")
+    t = _read(t, float, _unit, f"{what} requires 0 < t < 1")
     _require_target(M, what)
     return t
 
@@ -312,6 +309,10 @@ def general_pair(M: Mean, C: Mean, D: Mean, t: float) -> MeanPair:
                         spec=_spec("pair", (M.spec, C.spec, D.spec), t))
 
 
+def _finite(v) -> bool:
+    return np.isfinite(v).all()
+
+
 @dataclass(frozen=True)
 class RealMean:
     """Mean on the whole real line; no positivity constraint on arguments.
@@ -331,16 +332,10 @@ class RealMean:
     # not a field: a real-line mean makes no claim of homogeneity, and
     # the scans that read the flag (flags, trace) see False
     homogeneous = False
-
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise DomainError(f"{self.label}: arguments must be finite reals")
-        out = self.fn(x, y)
-        if np.ndim(out) == 0:
-            return float(out)
-        return out
+    # the validated call of ``Mean``, admitting every finite real
+    _admits = staticmethod(_finite)
+    _domain = "finite reals"
+    __call__ = Mean.__call__
 
     def __repr__(self) -> str:
         return f"RealMean({self.label})"
@@ -410,9 +405,7 @@ def translative_pair(N: RealMean, t: float) -> MeanPair:
     (-1, 1).  For the arithmetic mean this is exactly the family of
     weighted arithmetic pairs with weights (1+t)/2 and (1-t)/2.
     """
-    t = float(t)
-    if not (-1.0 < t < 1.0):
-        raise ParameterError("translative pair requires -1 < t < 1")
+    t = _read(t, float, _signed_unit, "translative pair requires -1 < t < 1")
     if not (N.symmetric and N.monotone and N.translative):
         raise DomainError(
             f"{N.label}: translative pair requires symmetric, monotone, "

@@ -1,6 +1,9 @@
 """Exception types shared across the package.
 
-Everything derives from ValueError so callers can catch broadly.
+Everything derives from ValueError so callers can catch broadly.  Every
+public entry point raises a ``MeansError`` for an argument that does
+not convert, has mismatched shapes or is out of range: parameters are
+read by ``means._read`` and arguments by the validated calls.
 """
 
 __all__ = ["MeansError", "ParameterError", "DomainError", "InvalidMeanSpec"]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .means import _positive_finite
+from .errors import DomainError
+from .means import _positive_finite, _read, _unit
 
 __all__ = ["IterationTrace", "iterate_pair"]
 
@@ -75,20 +75,15 @@ def iterate_pair(pair, x0: float, y0: float, rel_stop: float = 1e-14,
     through their validating call, so a pair that leaves the positive
     quadrant raises rather than iterating on garbage.
     """
-    x0 = float(x0)
-    y0 = float(y0)
-    if not _positive_finite((x0, y0)):
-        raise DomainError("iteration requires a positive starting pair")
-    if not (0.0 < float(rel_stop) < 1.0):
-        raise ParameterError("rel_stop must lie in (0, 1)")
-    if int(max_iter) < 1:
-        raise ParameterError("max_iter must be at least 1")
+    start = "iteration requires a positive starting pair"
+    x, y = (_read(v, float, _positive_finite, start, DomainError) for v in (x0, y0))
+    rel_stop = _read(rel_stop, float, _unit, "rel_stop must lie in (0, 1)")
+    max_iter = _read(max_iter, int, lambda n: n >= 1, "max_iter must be at least 1")
 
     K, L = pair.K, pair.L
-    x, y = x0, y0
     points = [(x, y)]
     steps = 0
-    while _relative_gap(x, y) > rel_stop and steps < int(max_iter):
+    while _relative_gap(x, y) > rel_stop and steps < max_iter:
         x, y = float(K(x, y)), float(L(x, y))
         points.append((x, y))
         steps += 1

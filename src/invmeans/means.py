@@ -49,6 +49,14 @@ has the broadcast shape of the arguments (a (1,) array cannot take an
 not take, are left to the array-only code of ``_patch``, ``_blockwise``
 and the scans.
 
+Input from outside is read in one place.  ``_read`` converts a
+parameter and refuses a value that does not convert the same way as one
+out of range, with the ``MeansError`` of its check; a validated call
+(``Mean.__call__``, which ``complement.RealMean`` shares, and
+``_floats`` for the one-argument calls) refuses arguments that do not
+convert, lie outside its domain or do not broadcast with a
+``DomainError``.
+
 The catalog (``_catalog``) is homogeneous and monotone, and each of its
 means is labelled by its spec.  ``classical`` looks up the named means
 of CLASSICAL_NAMES only; the power and Stolarsky means are built by
@@ -88,6 +96,50 @@ NEAR_DIAGONAL_RTOL = 1e-8
 _BLOCK = 8192
 
 
+# how a value from outside fails to convert: the errors of float(),
+# int(), np.asarray() and tuple unpacking
+_UNREADABLE = (TypeError, ValueError, OverflowError, IndexError)
+
+
+def _read(value, kind, ok, message: str, error=ParameterError):
+    """``kind(value)`` when it converts and passes ``ok``, else ``error(message)``.
+
+    The one reader of a parameter from outside: a value that does not
+    convert is refused the same way as one that fails ``ok``.
+    ``message`` may quote the value with ``{!r}``: the converted value,
+    or the value as given when it does not convert.  ``error`` is
+    DomainError where the value is a point of a mean's domain (a
+    starting pair, a sample set).
+    """
+    try:
+        value = kind(value)
+    except _UNREADABLE:
+        pass
+    else:
+        if ok(value):
+            return value
+    raise error(message.format(value))
+
+
+def _unit(v) -> bool:
+    """Whether 0 < v < 1, the range of t, of a relative tolerance and of a stop gap."""
+    return 0.0 < v < 1.0
+
+
+def _floats(value, label: str):
+    """``value`` as a float array; a DomainError naming ``label`` when it does not convert."""
+    try:
+        return np.asarray(value, dtype=float)
+    except _UNREADABLE:
+        raise DomainError(f"{label}: arguments must be positive reals") from None
+
+
+def _positive_finite(v) -> bool:
+    """Whether every entry of v is a positive finite real: 0, +-inf and nan fail."""
+    v = np.asarray(v)
+    return ((v > 0.0) & (v < np.inf)).all()
+
+
 @dataclass(frozen=True)
 class Mean:
     """A positive bivariate function together with declared property flags.
@@ -114,11 +166,27 @@ class Mean:
     strict: bool = False
     spec: str | None = None
 
+    # what a call admits: the test each converted argument must pass, and
+    # the domain its error names (``complement.RealMean`` sets its own)
+    _admits = staticmethod(_positive_finite)
+    _domain = "positive reals"
+
     def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if not (_positive_finite(x) and _positive_finite(y)):
-            raise DomainError(f"{self.label}: arguments must be positive reals")
+        # the two conversions written out, not a loop or a helper call,
+        # so a scalar call pays no extra Python call for them
+        try:
+            x = np.asarray(x, dtype=float)
+            y = np.asarray(y, dtype=float)
+        except _UNREADABLE:
+            x = y = math.nan  # refused below, as a value outside the domain
+        if not (self._admits(x) and self._admits(y)):
+            raise DomainError(f"{self.label}: arguments must be {self._domain}")
+        if x.shape != y.shape:  # a same-shape call pays one comparison
+            try:
+                np.broadcast_shapes(x.shape, y.shape)
+            except ValueError:
+                raise DomainError(f"{self.label}: argument shapes {x.shape} and "
+                                  f"{y.shape} do not broadcast") from None
         out = self.fn(x, y)
         if np.ndim(out) == 0:
             return float(out)
@@ -126,12 +194,6 @@ class Mean:
 
     def __repr__(self) -> str:
         return f"Mean({self.label})"
-
-
-def _positive_finite(v) -> bool:
-    """Whether every entry of v is a positive finite real: 0, +-inf and nan fail."""
-    v = np.asarray(v)
-    return ((v > 0.0) & (v < np.inf)).all()
 
 
 class _blockwise:
@@ -364,9 +426,7 @@ def _power_fn(p: float):
 
 def power_mean(p: float) -> Mean:
     """Power mean ((x**p + y**p)/2)**(1/p) for finite p; p = 0 is geometric."""
-    p = float(p)
-    if not math.isfinite(p):
-        raise ParameterError(f"power mean requires a finite exponent, got {p!r}")
+    p = _read(p, float, math.isfinite, "power mean requires a finite exponent, got {!r}")
     if p == 0.0:
         return _REGISTRY["geometric"]
     return _catalog(_power_fn(p), f"power:{p!r}")
@@ -379,10 +439,8 @@ def stolarsky(r: float, s: float) -> Mean:
     worth knowing: (2, 1) is the arithmetic mean, (1, -1) the geometric
     mean, and (3/2, 1/2) the Heronian mean (x + sqrt(x*y) + y)/3.
     """
-    r = float(r)
-    s = float(s)
-    if not (math.isfinite(r) and math.isfinite(s)):
-        raise ParameterError("stolarsky mean requires finite r and s")
+    r, s = (_read(v, float, math.isfinite, "stolarsky mean requires finite r and s")
+            for v in (r, s))
     if r == s:
         raise ParameterError("stolarsky mean requires r != s")
     if r == 0.0 or s == 0.0:
@@ -467,9 +525,10 @@ def classical(name: str) -> Mean:
     (``power_mean``, ``stolarsky``) and forms of the spec grammar
     (``specs.parse_mean("power:2")``); ``classical`` does not parse them.
     """
-    if name in _REGISTRY:
+    try:
         return _REGISTRY[name]
-    raise InvalidMeanSpec(f"unknown mean identifier {name!r}", position=0)
+    except (KeyError, TypeError):  # TypeError: a name that cannot be hashed
+        raise InvalidMeanSpec(f"unknown mean identifier {name!r}", position=0) from None
 
 
 @dataclass(frozen=True)
@@ -482,7 +541,7 @@ class TraceFn:
     mean: Mean
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _floats(x, self.mean.label)
         return self.mean(x, np.ones_like(x))
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .complement import _base, _kernel
 from .errors import DomainError, ParameterError
-from .means import _patch, _positive_finite
+from .means import _floats, _patch, _positive_finite, _read, _unit
 
 __all__ = [
     "NaryMean",
@@ -52,7 +52,7 @@ class NaryMean:
     label: str
 
     def __call__(self, xs):
-        xs = np.asarray(xs, dtype=float)
+        xs = _floats(xs, self.label)
         if xs.ndim == 0 or xs.shape[0] != self.n:
             raise DomainError(
                 f"{self.label}: expected {self.n} arguments along the first axis"
@@ -69,10 +69,7 @@ class NaryMean:
 
 
 def _check_arity(n: int) -> int:
-    n = int(n)
-    if n < 2:
-        raise ParameterError("n-ary means need at least 2 arguments")
-    return n
+    return _read(n, int, lambda n: n >= 2, "n-ary means need at least 2 arguments")
 
 
 def _row_mean(xs):
@@ -124,9 +121,7 @@ def _nary_kernel(M: NaryMean, components: Sequence[NaryMean],
             raise DomainError(
                 f"component {C.label} has arity {C.n}, expected {M.n}"
             )
-    t = float(t)
-    if not (0.0 < t < 1.0):
-        raise ParameterError("n-ary base requires 0 < t < 1")
+    t = _read(t, float, _unit, "n-ary base requires 0 < t < 1")
 
     # each distinct component runs once, in first-appearance order, and
     # its values fill every row that names it: the failing family's n - 1
@@ -190,17 +185,11 @@ def counterexample_ratio(n: int, t: float, x: float) -> float:
     all arguments coincide and the ratio is exactly 1.  n is at most
     100,000, which keeps a call under about 1 s.
     """
-    n = int(n)
-    if n < 3:
-        raise ParameterError("the escape ratio needs n >= 3")
+    n = _read(n, int, lambda n: n >= 3, "the escape ratio needs n >= 3")
     if n > _ESCAPE_MAX_N:
         raise ParameterError(f"the escape ratio takes n <= {_ESCAPE_MAX_N}")
-    t = float(t)
-    if not (0.0 < t < 1.0):
-        raise ParameterError("the escape ratio requires 0 < t < 1")
-    x = float(x)
-    if not _positive_finite(x):
-        raise ParameterError("the escape ratio requires x > 0")
+    t = _read(t, float, _unit, "the escape ratio requires 0 < t < 1")
+    x = _read(x, float, _positive_finite, "the escape ratio requires x > 0")
     A = nary_arithmetic(n)
     G = nary_geometric(n)
     # K_1 alone: the other n - 1 components are never built

@@ -83,7 +83,7 @@ def builtin_cone(name: str) -> ConeSet:
     """Look up a built-in cone set by its CLI name."""
     try:
         return _BUILTIN[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be hashed
         raise InvalidMeanSpec(
             f"unknown cone name {name!r}; expected one of {', '.join(_BUILTIN)}"
         ) from None

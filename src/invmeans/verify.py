@@ -52,7 +52,7 @@ import numpy as np
 
 from . import iterate, multivar, projective
 from .errors import DomainError, ParameterError
-from .means import _BLOCK, _positive_finite
+from .means import _BLOCK, _positive_finite, _read, _unit
 
 __all__ = [
     "ScanConfig",
@@ -67,6 +67,11 @@ __all__ = [
     "check_nary_meanness",
     "invariant_value_along_trajectory",
 ]
+
+
+def _float_pair(pair) -> tuple[float, float]:
+    lo, hi = pair  # exactly two entries
+    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -93,19 +98,15 @@ class ScanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        lo, hi = (float(self.domain[0]), float(self.domain[1]))
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
-            raise ParameterError("scan domain must satisfy 0 < lower < upper")
-        object.__setattr__(self, "domain", (lo, hi))
-        if int(self.points_per_axis) < 8:
-            raise ParameterError("points_per_axis must be at least 8")
-        object.__setattr__(self, "points_per_axis", int(self.points_per_axis))
-        if not (0.0 < float(self.rel_tol) < 1.0):
-            raise ParameterError("rel_tol must lie in (0, 1)")
-        object.__setattr__(self, "rel_tol", float(self.rel_tol))
-        if int(self.seed) < 0:
-            raise ParameterError("seed must be a non-negative integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        # each field read in declaration order, the first bad one raising
+        for name, kind, ok, message in (
+                ("domain", _float_pair, lambda d: 0.0 < d[0] < d[1] < math.inf,
+                 "scan domain must satisfy 0 < lower < upper"),
+                ("points_per_axis", int, lambda n: n >= 8,
+                 "points_per_axis must be at least 8"),
+                ("rel_tol", float, _unit, "rel_tol must lie in (0, 1)"),
+                ("seed", int, lambda n: n >= 0, "seed must be a non-negative integer")):
+            object.__setattr__(self, name, _read(getattr(self, name), kind, ok, message))
 
 
 DEFAULT_CONFIG = ScanConfig()
@@ -540,9 +541,9 @@ def check_exchange_property(A: projective.ConeSet, samples=None,
     if samples is None:
         x, y = _pair_samples(cfg)
     else:
-        arr = np.asarray(samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2 or not _positive_finite(arr):
-            raise DomainError("samples must be an (m, 2) array of positive finite pairs")
+        arr = _read(samples, lambda v: np.asarray(v, dtype=float),
+                    lambda a: a.ndim == 2 and a.shape[1] == 2 and _positive_finite(a),
+                    "samples must be an (m, 2) array of positive finite pairs", DomainError)
         x, y = arr[:, 0], arr[:, 1]
 
     def measure(x, y):
@@ -599,13 +600,12 @@ def invariant_value_along_trajectory(pair, trace: iterate.IterationTrace,
     after one step.  ``rel_tol`` must lie in (0, 1).  Witness layout:
     (n, x_n, y_n, M(x_n, y_n)).
     """
-    if not (0.0 < float(rel_tol) < 1.0):
-        raise ParameterError("rel_tol must lie in (0, 1)")
+    rel_tol = _read(rel_tol, float, _unit, "rel_tol must lie in (0, 1)")
 
     def measure(xs, ys):
         values = np.asarray(pair.target.fn(xs, ys), dtype=float)
         for n, xs, ys, v in _blocks(np.arange(values.size), xs, ys, values):
             yield np.abs(v - values[0]) / abs(values[0]), (n, xs, ys, v)
 
-    return _scan(float(rel_tol), (trace.iterates[:, 0], trace.iterates[:, 1]),
+    return _scan(rel_tol, (trace.iterates[:, 0], trace.iterates[:, 1]),
                  measure)

@@ -135,6 +135,13 @@ class TestCheck:
         assert code == 2
         assert "--grid must look like lo:hi:n" in err
 
+    def test_a_grid_entry_that_is_not_a_number_exits_2(self, capsys):
+        code, out, err = run(capsys, [
+            "check", "--what", "mean", "--mean", "arithmetic",
+            "--grid", "1e-6:x:64"])
+        assert (code, out) == (2, "")
+        assert err == "error: --grid must look like lo:hi:n, got '1e-6:x:64'\n"
+
     def test_too_few_grid_points_exits_2(self, capsys):
         code, _, err = run(capsys, [
             "check", "--what", "mean", "--mean", "arithmetic",
@@ -188,7 +195,8 @@ class TestComplement:
             "complement", "--mean", "arithmetic", "--t", "0.5", "--emit", "csv",
             "--grid", "1e-6:1e6:100000000000000"])
         assert (code, out) == (2, "")
-        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert err == ("error: points_per_axis=100000000000000: the scan's samples "
+                       "are too large to allocate\n")
 
     def test_residuals_are_small(self, capsys):
         _, out, _ = run(capsys, [

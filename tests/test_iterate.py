@@ -224,3 +224,11 @@ class TestInputValidation:
         pair = im.MeanPair(A, H, target=G)
         trace = im.iterate_pair(pair, 3.0, 3.0)
         assert trace.order_estimate() is None
+
+    def test_order_estimate_absent_when_the_last_gaps_do_not_shrink(self):
+        # gaps 1/2, 1/11, 1/3: three positive gaps, the last one larger
+        iterates = np.array([[1.0, 2.0], [1.0, 1.1], [1.0, 1.5]])
+        trace = im.IterationTrace(iterates, converged=False, limit=1.25, iterations=2,
+                                  final_gap=1.0 / 3.0, gap_monotone=False)
+        assert np.count_nonzero(trace.gaps > 0.0) == 3
+        assert trace.order_estimate() is None

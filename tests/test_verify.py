@@ -416,6 +416,29 @@ class TestRealLineMeans:
         assert im.translative_conjugate(A).homogeneous is False
 
 
+# a subject's F(x, y) as it may come back from a raw evaluator, beside
+# the same values as a float64 column of the arguments' shape
+ODD_RESULTS = {
+    "python float": (lambda x, y: 1.5, lambda x, y: np.full(np.shape(x), 1.5)),
+    "python int": (lambda x, y: 2, lambda x, y: np.full(np.shape(x), 2.0)),
+    "0-d array": (lambda x, y: np.array(1.5), lambda x, y: np.full(np.shape(x), 1.5)),
+    "float32": (lambda x, y: np.minimum(x, y).astype(np.float32),
+                lambda x, y: np.minimum(x, y).astype(np.float32).astype(np.float64)),
+    "int64": (lambda x, y: np.ceil(np.maximum(x, y)).astype(np.int64),
+              lambda x, y: np.ceil(np.maximum(x, y))),
+}
+
+
+@pytest.mark.parametrize("check", [im.check_meanness, im.check_flags])
+@pytest.mark.parametrize("name", ODD_RESULTS)
+def test_a_result_that_is_not_a_float64_column_is_broadcast(check, name):
+    odd, column = ODD_RESULTS[name]
+    flags = dict(symmetric=True, homogeneous=True, monotone=True, strict=True)
+    got = check(im.Mean(odd, name, **flags), CFG)
+    want = check(im.Mean(column, name, **flags), CFG)
+    assert got == want and got.samples_checked > 0
+
+
 def _earlier_strict(tol, x, y, v):
     """The strict scan's violations as first written: five gathered columns."""
     keep = np.abs(np.log(x / y)) >= 0.1
