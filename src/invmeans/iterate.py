@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .means import _positive_finite, _read, _unit
+from .means import _float_pair, _positive_finite, _read, _unit
 
 __all__ = ["IterationTrace", "iterate_pair"]
 
@@ -75,8 +75,8 @@ def iterate_pair(pair, x0: float, y0: float, rel_stop: float = 1e-14,
     through their validating call, so a pair that leaves the positive
     quadrant raises rather than iterating on garbage.
     """
-    start = "iteration requires a positive starting pair"
-    x, y = (_read(v, float, _positive_finite, start, DomainError) for v in (x0, y0))
+    x, y = _read((x0, y0), _float_pair, _positive_finite,
+                 "iteration requires a positive starting pair", DomainError)
     rel_stop = _read(rel_stop, float, _unit, "rel_stop must lie in (0, 1)")
     max_iter = _read(max_iter, int, lambda n: n >= 1, "max_iter must be at least 1")
 

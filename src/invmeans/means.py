@@ -121,6 +121,11 @@ def _read(value, kind, ok, message: str, error=ParameterError):
     raise error(message.format(value))
 
 
+def _float_pair(pair) -> tuple[float, float]:
+    a, b = pair  # exactly two entries
+    return float(a), float(b)
+
+
 def _unit(v) -> bool:
     """Whether 0 < v < 1, the range of t, of a relative tolerance and of a stop gap."""
     return 0.0 < v < 1.0

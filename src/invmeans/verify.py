@@ -52,7 +52,7 @@ import numpy as np
 
 from . import iterate, multivar, projective
 from .errors import DomainError, ParameterError
-from .means import _BLOCK, _positive_finite, _read, _unit
+from .means import _BLOCK, _float_pair, _positive_finite, _read, _unit
 
 __all__ = [
     "ScanConfig",
@@ -67,11 +67,6 @@ __all__ = [
     "check_nary_meanness",
     "invariant_value_along_trajectory",
 ]
-
-
-def _float_pair(pair) -> tuple[float, float]:
-    lo, hi = pair  # exactly two entries
-    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
