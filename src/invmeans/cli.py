@@ -22,7 +22,7 @@ import numpy as np
 from .complement import general_pair, xy_pair
 from .errors import MeansError
 from .iterate import iterate_pair
-from .means import _read
+from .means import _integer, _read, _real
 from .multivar import counterexample_ratio
 from .projective import builtin_cone
 from .specs import parse_mean, parse_pair
@@ -89,7 +89,7 @@ def _emit_table(args, fields: dict, notes: list[str], columns: list[str],
 
 def _grid(text: str) -> tuple[float, float, int]:
     lo, hi, n = text.split(":")
-    return float(lo), float(hi), int(n)
+    return _real(lo), _real(hi), _integer(n)
 
 
 def _scan_config(args) -> ScanConfig:

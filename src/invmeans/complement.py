@@ -45,7 +45,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .means import Mean, _blockwise, _pow, _read, _unit, classical
+from .means import (Mean, _blockwise, _halves, _patch, _pow, _read, _real, _unit,
+                    classical)
 from .projective import (ConeSet, _selections, builtin_cone, complement_cone,
                          projective_mean)
 
@@ -218,7 +219,7 @@ def log_pair(t: float, A: ConeSet | None = None) -> MeanPair:
     two coordinate selections, at t = -1 the ratio is xy and the
     selections swap.  Negating t swaps K and L.
     """
-    t = _read(t, float, lambda t: -1.0 <= t <= 1.0 and t != 0.0,
+    t = _read(t, _real, lambda t: -1.0 <= t <= 1.0 and t != 0.0,
               "log pair requires t in [-1, 1] with t != 0")
     return _selection_pair(classical("logarithmic"), t, A, "logpair", "")
 
@@ -232,7 +233,7 @@ def self_complement_base(M: Mean, t: float) -> Mean:
     and mean-ness is left to an explicit verify call.  M_0 = M and
     geometric reproduces itself for every t.
     """
-    t = _read(t, float, _signed_unit, "self-complementary base requires -1 < t < 1")
+    t = _read(t, _real, _signed_unit, "self-complementary base requires -1 < t < 1")
     if not (M.symmetric and M.homogeneous):
         raise DomainError(
             f"{M.label}: base construction requires symmetric and homogeneous flags"
@@ -260,13 +261,13 @@ def xy_pair(M: Mean, t: float, A: ConeSet | None = None) -> MeanPair:
     it is a cone; they are not monotone in general, which
     check_monotone_trace exposes for the plain arithmetic case.
     """
-    t = _read(t, float, _signed_unit, "xy pair requires -1 < t < 1")
+    t = _read(t, _real, _signed_unit, "xy pair requires -1 < t < 1")
     _require_target(M, "xy pair")
     return _selection_pair(M, t, A, "xypair", f"{M.label}, ")
 
 
 def _require_pair_inputs(M: Mean, t: float, what: str) -> float:
-    t = _read(t, float, _unit, f"{what} requires 0 < t < 1")
+    t = _read(t, _real, _unit, f"{what} requires 0 < t < 1")
     _require_target(M, what)
     return t
 
@@ -381,7 +382,10 @@ def translative_conjugate(M: Mean) -> RealMean:
 
 
 def _real_arith_fn(x, y):
-    return 0.5 * (x + y)
+    # the halved sum of the positive-line arithmetic mean, whose lanes that
+    # overflow, here to inf or -inf, are redone as 0.5*x + 0.5*y
+    m = 0.5 * (x + y)
+    return _patch(m, abs(m) == np.inf, _halves, x, y)
 
 
 ARITHMETIC_ON_REALS = RealMean(
@@ -405,7 +409,7 @@ def translative_pair(N: RealMean, t: float) -> MeanPair:
     (-1, 1).  For the arithmetic mean this is exactly the family of
     weighted arithmetic pairs with weights (1+t)/2 and (1-t)/2.
     """
-    t = _read(t, float, _signed_unit, "translative pair requires -1 < t < 1")
+    t = _read(t, _real, _signed_unit, "translative pair requires -1 < t < 1")
     if not (N.symmetric and N.monotone and N.translative):
         raise DomainError(
             f"{N.label}: translative pair requires symmetric, monotone, "

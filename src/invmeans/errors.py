@@ -3,7 +3,11 @@
 Everything derives from ValueError so callers can catch broadly.  Every
 public entry point raises a ``MeansError`` for an argument that does
 not convert, has mismatched shapes or is out of range: parameters are
-read by ``means._read`` and arguments by the validated calls.
+read by ``means._read`` and arguments by the validated calls.  A value
+that does not convert includes a complex value in any form (a Python or
+numpy complex scalar, a complex array, a list of numpy complex) and a
+fractional value of an integer parameter (``n``, ``points_per_axis``,
+``seed``, ``max_iter``).
 """
 
 __all__ = ["MeansError", "ParameterError", "DomainError", "InvalidMeanSpec"]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .means import _float_pair, _positive_finite, _read, _unit
+from .means import _float_pair, _integer, _positive_finite, _read, _real, _unit
 
 __all__ = ["IterationTrace", "iterate_pair"]
 
@@ -77,8 +77,8 @@ def iterate_pair(pair, x0: float, y0: float, rel_stop: float = 1e-14,
     """
     x, y = _read((x0, y0), _float_pair, _positive_finite,
                  "iteration requires a positive starting pair", DomainError)
-    rel_stop = _read(rel_stop, float, _unit, "rel_stop must lie in (0, 1)")
-    max_iter = _read(max_iter, int, lambda n: n >= 1, "max_iter must be at least 1")
+    rel_stop = _read(rel_stop, _real, _unit, "rel_stop must lie in (0, 1)")
+    max_iter = _read(max_iter, _integer, lambda n: n >= 1, "max_iter must be at least 1")
 
     K, L = pair.K, pair.L
     points = [(x, y)]

@@ -49,12 +49,22 @@ has the broadcast shape of the arguments (a (1,) array cannot take an
 not take, are left to the array-only code of ``_patch``, ``_blockwise``
 and the scans.
 
-Input from outside is read in one place.  ``_read`` converts a
-parameter and refuses a value that does not convert the same way as one
-out of range, with the ``MeansError`` of its check; a validated call
-(``Mean.__call__``, which ``complement.RealMean`` shares, and
-``_floats`` for the one-argument calls) refuses arguments that do not
-convert, lie outside its domain or do not broadcast with a
+Input from outside is read in one place, by three readers: ``_real``
+(a parameter such as t or p, as a Python float), ``_integer`` (n,
+``points_per_axis``, ``seed`` and ``max_iter``, as an exact Python int)
+and ``_floats`` (the arguments of a validated call, as a float64 array).
+All three refuse a complex value in every form: a Python or numpy
+complex scalar, a complex array or a list of numpy complex, also with a
+zero imaginary part.  ``_integer`` also refuses a fractional value, and
+keeps an integral float, a numeric string and an int above 2**53 exact.
+``_floats`` hands a float64 array on as it is and casts any other real
+input as ``np.asarray(value, dtype=float)`` does (float32, integers).
+``_read`` runs a reader on a parameter and refuses a value that does not
+convert the same way as one out of range, with the ``MeansError`` of its
+check; a validated call (``Mean.__call__``, which
+``complement.RealMean`` shares, ``multivar.NaryMean.__call__`` and
+``TraceFn``, which calls its mean with y = 1.0) refuses arguments that
+do not convert, lie outside its domain or do not broadcast with a
 ``DomainError``.
 
 The catalog (``_catalog``) is homogeneous and monotone, and each of its
@@ -97,19 +107,22 @@ _BLOCK = 8192
 
 
 # how a value from outside fails to convert: the errors of float(),
-# int(), np.asarray() and tuple unpacking
+# int(), np.asarray() and tuple unpacking, and of the readers below
 _UNREADABLE = (TypeError, ValueError, OverflowError, IndexError)
+
+_FLOAT64 = np.dtype(float)
 
 
 def _read(value, kind, ok, message: str, error=ParameterError):
     """``kind(value)`` when it converts and passes ``ok``, else ``error(message)``.
 
     The one reader of a parameter from outside: a value that does not
-    convert is refused the same way as one that fails ``ok``.
-    ``message`` may quote the value with ``{!r}``: the converted value,
-    or the value as given when it does not convert.  ``error`` is
-    DomainError where the value is a point of a mean's domain (a
-    starting pair, a sample set).
+    convert is refused the same way as one that fails ``ok``.  ``kind``
+    is one of the readers ``_real``, ``_integer``, ``_float_pair`` and
+    ``_floats``, or a function built on them.  ``message`` may quote the
+    value with ``{!r}``: the converted value, or the value as given when
+    it does not convert.  ``error`` is DomainError where the value is a
+    point of a mean's domain (a starting pair, a sample set).
     """
     try:
         value = kind(value)
@@ -121,9 +134,36 @@ def _read(value, kind, ok, message: str, error=ParameterError):
     raise error(message.format(value))
 
 
+def _real_valued(value):
+    # value itself, or TypeError for a Python or numpy complex scalar and a
+    # complex array, which float(), int() and np.asarray(..., dtype=float)
+    # cast with a warning or refuse
+    if (isinstance(value, (complex, np.complexfloating))
+            or isinstance(value, np.ndarray) and value.dtype.kind == "c"):
+        raise TypeError(f"{value!r} is complex")
+    return value
+
+
+def _real(value) -> float:
+    """``value`` as a Python float, as ``float`` reads it; TypeError for a complex value."""
+    return float(_real_valued(value))
+
+
+def _integer(value) -> int:
+    """``value`` as an exact Python int: an integral real or a text ``int`` reads.
+
+    TypeError for a complex value and ValueError for a fractional one;
+    ``int`` refuses a fractional text itself.
+    """
+    n = int(_real_valued(value))
+    if n != value and not isinstance(value, (str, bytes, bytearray)):
+        raise ValueError(f"{value!r} is not an integer")
+    return n
+
+
 def _float_pair(pair) -> tuple[float, float]:
     a, b = pair  # exactly two entries
-    return float(a), float(b)
+    return _real(a), _real(b)
 
 
 def _unit(v) -> bool:
@@ -131,12 +171,19 @@ def _unit(v) -> bool:
     return 0.0 < v < 1.0
 
 
-def _floats(value, label: str):
-    """``value`` as a float array; a DomainError naming ``label`` when it does not convert."""
-    try:
-        return np.asarray(value, dtype=float)
-    except _UNREADABLE:
-        raise DomainError(f"{label}: arguments must be positive reals") from None
+def _floats(value):
+    """``value`` as a float64 array: the one reader of a mean's arguments.
+
+    A float64 array is returned as it is, not copied.  A complex value,
+    also a list of complex entries, raises TypeError; anything else is
+    cast as ``np.asarray(value, dtype=float)`` casts it, and a value that
+    does not cast raises its error.
+    """
+    a = np.asarray(value)
+    if a.dtype is _FLOAT64:
+        return a
+    _real_valued(a)
+    return np.asarray(value, dtype=float)
 
 
 def _positive_finite(v) -> bool:
@@ -159,7 +206,7 @@ class Mean:
     one exists in the textual grammar, otherwise None.
 
     ``fn`` is the raw evaluator: it takes float64 arrays or scalars
-    (calling the mean converts its arguments to those and validates
+    (calling the mean reads its arguments with ``_floats`` and validates
     them) and checks nothing.
     """
 
@@ -177,11 +224,9 @@ class Mean:
     _domain = "positive reals"
 
     def __call__(self, x, y):
-        # the two conversions written out, not a loop or a helper call,
-        # so a scalar call pays no extra Python call for them
         try:
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
+            x = _floats(x)
+            y = _floats(y)
         except _UNREADABLE:
             x = y = math.nan  # refused below, as a value outside the domain
         if not (self._admits(x) and self._admits(y)):
@@ -431,7 +476,7 @@ def _power_fn(p: float):
 
 def power_mean(p: float) -> Mean:
     """Power mean ((x**p + y**p)/2)**(1/p) for finite p; p = 0 is geometric."""
-    p = _read(p, float, math.isfinite, "power mean requires a finite exponent, got {!r}")
+    p = _read(p, _real, math.isfinite, "power mean requires a finite exponent, got {!r}")
     if p == 0.0:
         return _REGISTRY["geometric"]
     return _catalog(_power_fn(p), f"power:{p!r}")
@@ -444,7 +489,7 @@ def stolarsky(r: float, s: float) -> Mean:
     worth knowing: (2, 1) is the arithmetic mean, (1, -1) the geometric
     mean, and (3/2, 1/2) the Heronian mean (x + sqrt(x*y) + y)/3.
     """
-    r, s = (_read(v, float, math.isfinite, "stolarsky mean requires finite r and s")
+    r, s = (_read(v, _real, math.isfinite, "stolarsky mean requires finite r and s")
             for v in (r, s))
     if r == s:
         raise ParameterError("stolarsky mean requires r != s")
@@ -546,8 +591,7 @@ class TraceFn:
     mean: Mean
 
     def __call__(self, x):
-        x = _floats(x, self.mean.label)
-        return self.mean(x, np.ones_like(x))
+        return self.mean(x, 1.0)
 
 
 def trace_of(M: Mean) -> TraceFn:

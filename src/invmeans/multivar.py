@@ -27,7 +27,8 @@ import numpy as np
 
 from .complement import _base, _kernel
 from .errors import DomainError, ParameterError
-from .means import _floats, _patch, _positive_finite, _read, _unit
+from .means import (_UNREADABLE, _floats, _integer, _patch, _positive_finite,
+                    _read, _real, _unit)
 
 __all__ = [
     "NaryMean",
@@ -52,7 +53,10 @@ class NaryMean:
     label: str
 
     def __call__(self, xs):
-        xs = _floats(xs, self.label)
+        try:
+            xs = _floats(xs)
+        except _UNREADABLE:
+            raise DomainError(f"{self.label}: arguments must be positive reals") from None
         if xs.ndim == 0 or xs.shape[0] != self.n:
             raise DomainError(
                 f"{self.label}: expected {self.n} arguments along the first axis"
@@ -69,7 +73,7 @@ class NaryMean:
 
 
 def _check_arity(n: int) -> int:
-    return _read(n, int, lambda n: n >= 2, "n-ary means need at least 2 arguments")
+    return _read(n, _integer, lambda n: n >= 2, "n-ary means need at least 2 arguments")
 
 
 def _row_mean(xs):
@@ -121,7 +125,7 @@ def _nary_kernel(M: NaryMean, components: Sequence[NaryMean],
             raise DomainError(
                 f"component {C.label} has arity {C.n}, expected {M.n}"
             )
-    t = _read(t, float, _unit, "n-ary base requires 0 < t < 1")
+    t = _read(t, _real, _unit, "n-ary base requires 0 < t < 1")
 
     # each distinct component runs once, in first-appearance order, and
     # its values fill every row that names it: the failing family's n - 1
@@ -185,11 +189,11 @@ def counterexample_ratio(n: int, t: float, x: float) -> float:
     all arguments coincide and the ratio is exactly 1.  n is at most
     100,000, which keeps a call under about 1 s.
     """
-    n = _read(n, int, lambda n: n >= 3, "the escape ratio needs n >= 3")
+    n = _read(n, _integer, lambda n: n >= 3, "the escape ratio needs n >= 3")
     if n > _ESCAPE_MAX_N:
         raise ParameterError(f"the escape ratio takes n <= {_ESCAPE_MAX_N}")
-    t = _read(t, float, _unit, "the escape ratio requires 0 < t < 1")
-    x = _read(x, float, _positive_finite, "the escape ratio requires x > 0")
+    t = _read(t, _real, _unit, "the escape ratio requires 0 < t < 1")
+    x = _read(x, _real, _positive_finite, "the escape ratio requires x > 0")
     A = nary_arithmetic(n)
     G = nary_geometric(n)
     # K_1 alone: the other n - 1 components are never built

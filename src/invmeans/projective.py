@@ -6,7 +6,9 @@ structural facts drive the flags: P is symmetric precisely when the set
 is asymmetric (contains exactly one of (x,y), (y,x) off the diagonal),
 and homogeneous precisely when the set is a cone (closed under positive
 scaling).  Both are declarations here, spot-checked by the verify module,
-which also scans the exchange property of ``_selections``.
+which also scans the exchange property of ``_selections``: the one
+selection evaluator, run by every selection mean and by the log and xy
+pairs.
 
 Five sets ship built in: "full" and "empty" (the coordinate projections),
 "lower" {x < y} and "upper" {x > y} (min and max), and "mixed", an
@@ -120,8 +122,7 @@ def projective_mean(A: ConeSet) -> Mean:
     """
 
     def fn(x, y):
-        member = np.asarray(A.membership(x, y), dtype=bool)
-        return np.where(member, x, y)
+        return _selections(A, x, y)[0]
 
     known = f"proj:{A.name}" if A.name in _BUILTIN else None
     return Mean(

@@ -52,7 +52,8 @@ import numpy as np
 
 from . import iterate, multivar, projective
 from .errors import DomainError, ParameterError
-from .means import _BLOCK, _float_pair, _positive_finite, _read, _unit
+from .means import (_BLOCK, _float_pair, _floats, _integer, _positive_finite, _read,
+                    _real, _unit)
 
 __all__ = [
     "ScanConfig",
@@ -97,10 +98,10 @@ class ScanConfig:
         for name, kind, ok, message in (
                 ("domain", _float_pair, lambda d: 0.0 < d[0] < d[1] < math.inf,
                  "scan domain must satisfy 0 < lower < upper"),
-                ("points_per_axis", int, lambda n: n >= 8,
+                ("points_per_axis", _integer, lambda n: n >= 8,
                  "points_per_axis must be at least 8"),
-                ("rel_tol", float, _unit, "rel_tol must lie in (0, 1)"),
-                ("seed", int, lambda n: n >= 0, "seed must be a non-negative integer")):
+                ("rel_tol", _real, _unit, "rel_tol must lie in (0, 1)"),
+                ("seed", _integer, lambda n: n >= 0, "seed must be a non-negative integer")):
             object.__setattr__(self, name, _read(getattr(self, name), kind, ok, message))
 
 
@@ -435,14 +436,22 @@ def _dominating(cfg, x, y):
         yield np.maximum(x2, x, out=x2), np.maximum(y2, y, out=y2)
 
 
+def _scale(x, y, v):
+    # max(x, y, |v|): max(x, y) for a mean, and |F(x, y)| for a function
+    # above it (an ``nt`` base), whose rounding grows with its value; one
+    # temporary per block, as max(x, y) alone took
+    s = np.abs(v)
+    return np.maximum(np.maximum(s, x, out=s), y, out=s)
+
+
 def _symmetric(fn, tol, x, y, v):
     v2 = _lanes(fn(y, x), x)
-    return np.abs(v - v2) / np.maximum(x, y), (x, y, v, v2)
+    return np.abs(v - v2) / _scale(x, y, v), (x, y, v, v2)
 
 
 def _homogeneous(fn, tol, x, y, v, lam):
     vs = _lanes(fn(lam * x, lam * y), x)
-    return np.abs(vs - lam * v) / (lam * np.maximum(x, y)), (x, y, lam)
+    return np.abs(vs - lam * v) / (lam * _scale(x, y, v)), (x, y, lam)
 
 
 def _monotone(fn, tol, x, y, v, x2, y2):
@@ -498,9 +507,12 @@ def check_flags(F, cfg: ScanConfig | None = None) -> ScanReport:
     monotone (by sampled pair dominance), strict (by clearance of the
     min/max envelope at separated arguments).  A failing report carries
     ``detail = "flag falsified: <name>"``.  Undeclared flags are skipped;
-    a mean with no flags passes vacuously.  F(x, y) is evaluated once, on
-    all lanes, and shared by the flag scans; an evaluation that raises
-    fails the report with the first sample that raises as witness.
+    a mean with no flags passes vacuously.  The symmetric and homogeneous
+    violations are relative to max(x, y, |F(x, y)|) (times the scale
+    factor), so a function above max(x, y), such as an ``nt`` base, is
+    judged by its own rounding.  F(x, y) is evaluated once, on all lanes,
+    and shared by the flag scans; an evaluation that raises fails the
+    report with the first sample that raises as witness.
     """
     cfg = cfg or DEFAULT_CONFIG
     x, y = _pair_samples(cfg)
@@ -536,7 +548,7 @@ def check_exchange_property(A: projective.ConeSet, samples=None,
     if samples is None:
         x, y = _pair_samples(cfg)
     else:
-        arr = _read(samples, lambda v: np.asarray(v, dtype=float),
+        arr = _read(samples, _floats,
                     lambda a: a.ndim == 2 and a.shape[1] == 2 and _positive_finite(a),
                     "samples must be an (m, 2) array of positive finite pairs", DomainError)
         x, y = arr[:, 0], arr[:, 1]
@@ -595,7 +607,7 @@ def invariant_value_along_trajectory(pair, trace: iterate.IterationTrace,
     after one step.  ``rel_tol`` must lie in (0, 1).  Witness layout:
     (n, x_n, y_n, M(x_n, y_n)).
     """
-    rel_tol = _read(rel_tol, float, _unit, "rel_tol must lie in (0, 1)")
+    rel_tol = _read(rel_tol, _real, _unit, "rel_tol must lie in (0, 1)")
 
     def measure(xs, ys):
         values = np.asarray(pair.target.fn(xs, ys), dtype=float)

@@ -111,6 +111,14 @@ class TestCheck:
         assert code == 0
         assert out.splitlines()[1].startswith("pass ")
 
+    def test_the_flags_of_an_nt_base_pass_on_the_widest_grid(self, capsys):
+        # the base reaches 512 max(x, y); its flags are judged against |F|
+        code, out, _ = run(capsys, [
+            "check", "--what", "flags", "--mean",
+            "nt:arithmetic:arithmetic:harmonic:0.9", "--grid", "1e-300:1e300:16"])
+        assert code == 0
+        assert out.splitlines()[1].startswith("pass ")
+
     def test_invariance_requires_pair(self, capsys):
         code, _, err = run(capsys, ["check", "--what", "invariance"])
         assert code == 2

@@ -407,6 +407,16 @@ class TestTranslativeConjugate:
         with np.errstate(invalid="ignore"):
             assert np.isnan(im.ARITHMETIC_ON_REALS.fn(np.inf, -np.inf))
 
+    # the intermediate sum still overflows, and numpy says so
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("big", [1.7e308, np.finfo(float).max])
+    def test_arithmetic_on_reals_does_not_overflow(self, big):
+        N = im.ARITHMETIC_ON_REALS
+        assert N(big, big) == big and N(-big, -big) == -big
+        assert N(big, 1.0) == 0.5 * big and N(-big, -1.0) == -0.5 * big
+        out = N([big, -big, 1.0, big], [big, -big, 3.0, -big])
+        assert out.tolist() == [big, -big, 2.0, 0.0]
+
 
 class TestTranslativePair:
     @pytest.mark.parametrize("t", [-0.5, 0.0, 0.5])

@@ -94,6 +94,20 @@ class TestCatalogValues:
         out = im.classical("arithmetic")(x, 1.0)
         assert_allclose(out, [1.0, 1.5, 2.0], rtol=1e-15)
 
+    def test_a_float64_array_reaches_the_evaluator_uncopied(self):
+        # a validated call casts only what is not float64 already
+        seen = []
+
+        def spy(*args):
+            seen.append(args)
+            return args[0]
+
+        x, y = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        im.Mean(spy, "spy")(x, y)
+        im.NaryMean(spy, 2, "spy")(x)
+        assert seen[0][0] is x and seen[0][1] is y
+        assert seen[1][0] is x
+
     # the intermediate sum still overflows, and numpy says so
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("big", [1e308, np.finfo(float).max])

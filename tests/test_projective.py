@@ -113,6 +113,15 @@ class TestExchangeProperty:
         assert not report.passed
         assert report.worst_violation > 0.5
 
+    def test_a_selection_mean_runs_the_checked_selection_code(self, monkeypatch):
+        A = im.builtin_cone("mixed")
+        P = im.projective_mean(A)
+        x, y = sample_pairs(50_000)
+        # the defining formula, x on members and y elsewhere, bit for bit
+        assert np.array_equal(P.fn(x, y), np.where(A.membership(x, y), x, y))
+        monkeypatch.setattr(projective, "_selections", lambda A, x, y: (x + y, x))
+        assert P(1.0, 2.0) == 3.0
+
     @pytest.mark.parametrize("name", im.BUILTIN_CONE_NAMES)
     def test_selections_match_the_selection_means(self, name):
         A = im.builtin_cone(name)

@@ -17,6 +17,8 @@ H = im.classical("harmonic")
 G = im.classical("geometric")
 
 CFG = im.ScanConfig(points_per_axis=16)
+# the widest domain of the CLI's --grid 1e-300:1e300:16
+WIDE = im.ScanConfig(domain=(1e-300, 1e300), points_per_axis=16)
 # 11,288 lanes: one full block of means._BLOCK = 8,192 lanes and a partial one
 BIG = im.ScanConfig(points_per_axis=32)
 
@@ -354,6 +356,14 @@ class TestFlagScans:
         assert np.array_equal(np.concatenate([a for a, _ in swapped]), y)
         assert np.array_equal(np.concatenate([b for _, b in swapped]), x)
 
+    def test_a_base_above_max_is_judged_relative_to_its_value(self):
+        # an nt base is no mean: it reaches 512 max(x, y) at (4.3e275,
+        # 2.9e106), where its rounding relative to max(x, y) read 8.8e-10
+        N = im.parse_mean("nt:arithmetic:arithmetic:harmonic:0.9")
+        report = im.check_flags(N, WIDE)
+        assert report.passed, report
+        assert report.worst_violation < 1e-11
+
     def test_strict_scan_reuses_the_full_evaluation(self):
         calls = []
 
@@ -391,6 +401,17 @@ class TestSensitivity:
         report = im.check_flags(im.Mean(skewed, "skewed", symmetric=True), CFG)
         assert not report.passed
         assert report.detail == "flag falsified: symmetric"
+
+    def test_a_non_homogeneity_of_one_part_in_a_billion_fails_an_nt_base(self):
+        N = im.parse_mean("nt:arithmetic:arithmetic:harmonic:0.9")
+
+        def planted(x, y):
+            return N.fn(x, y) * (1.0 + 1e-9 * np.sin(np.log(np.maximum(x, y))))
+
+        report = im.check_flags(dataclasses.replace(N, fn=planted), WIDE)
+        assert not report.passed
+        assert report.detail == "flag falsified: homogeneous"
+        assert 1e-10 < report.worst_violation < 3e-9
 
 
 class TestRealLineMeans:
